@@ -4,11 +4,11 @@ module Trace = Repro_obs.Trace
 
 let random_ids ~seed ~namespace ~n =
   if n > namespace then invalid_arg "Experiment.random_ids: n > namespace";
-  let rng = Rng.of_seed seed in
-  let ids =
-    Rng.sample_without_replacement rng n
-      (Array.init namespace (fun i -> i + 1))
-  in
+  (* The pool is ours, so it is shuffled in place; its first [n]
+     entries are the sample. *)
+  let pool = Array.init namespace (fun i -> i + 1) in
+  Rng.shuffle (Rng.of_seed seed) pool;
+  let ids = Array.sub pool 0 n in
   Array.sort Int.compare ids;
   ids
 

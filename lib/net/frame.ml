@@ -34,16 +34,39 @@ let write_exact io buf pos len =
     put := !put + n
   done
 
+let set_header buf len =
+  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xff));
+  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xff));
+  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
+  Bytes.set buf 3 (Char.chr (len land 0xff))
+
 let write_frame io payload =
   let len = String.length payload in
   if len > max_frame then invalid_arg "Frame.write_frame: payload too large";
   let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (len land 0xff));
+  set_header buf len;
   Bytes.blit_string payload 0 buf 4 len;
   write_exact io buf 0 (4 + len)
+
+module Wire = Repro_sim.Wire
+
+(* The header is a 32-bit placeholder at the front of the writer, so the
+   payload starts byte-aligned and the finished frame is the writer's
+   own buffer: one write, no copy. *)
+let writer () =
+  let w = Wire.Writer.create () in
+  Wire.Writer.add_fixed w 0 ~width:32;
+  w
+
+let write_writer io w =
+  let bits = Wire.Writer.bit_length w in
+  if bits < 32 then invalid_arg "Frame.write_writer: not a frame writer";
+  let total = (bits + 7) / 8 in
+  let len = total - 4 in
+  if len > max_frame then invalid_arg "Frame.write_writer: payload too large";
+  let buf = Wire.Writer.buffer w in
+  set_header buf len;
+  write_exact io buf 0 total
 
 (* Reads the 4-byte header, distinguishing clean EOF (nothing read) from
    truncation (EOF after 1-3 header bytes). *)

@@ -40,6 +40,20 @@ val write_exact : io -> Bytes.t -> int -> int -> unit
 val write_frame : io -> string -> unit
 (** @raise Invalid_argument if the payload exceeds {!max_frame}. *)
 
+val writer : unit -> Repro_sim.Wire.Writer.t
+(** A fresh writer whose first 32 bits are reserved for the frame
+    header; what is appended after them is the payload, starting
+    byte-aligned — so its bytes are exactly what a fresh writer holding
+    the same fields would return from [contents]. *)
+
+val write_writer : io -> Repro_sim.Wire.Writer.t -> unit
+(** Send a {!writer}'s payload as one frame: the length header is
+    patched into the reserved bytes and the writer's own buffer goes out
+    in one {!write_exact}, with no copy. Consumes the writer (its header
+    bytes are overwritten); append nothing to it afterwards.
+    @raise Invalid_argument if the payload exceeds {!max_frame} or [w]
+    is shorter than the header. *)
+
 val read_frame : io -> string
 (** @raise Protocol_error on EOF (even at a frame boundary), an
     oversized length prefix, or truncation inside the payload. *)

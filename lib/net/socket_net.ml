@@ -4,43 +4,40 @@ module Rng = Repro_util.Rng
 
 (* Stream format version + endpoint check, first field of both handshake
    frames; bump when the frame layout changes. *)
-let magic = 0x524e31
+let magic = 0x524e32
 
 let proto_error fmt =
   Printf.ksprintf (fun s -> raise (Frame.Protocol_error s)) fmt
 
 module Codec = struct
-  let add_byte_string w s =
-    String.iter (fun c -> Wire.Writer.add_fixed w (Char.code c) ~width:8) s
-
-  let read_byte_string r len =
-    let b = Bytes.create len in
-    for i = 0 to len - 1 do
-      Bytes.set b i (Char.chr (Wire.Reader.read_fixed r ~width:8))
-    done;
-    Bytes.unsafe_to_string b
+  (* A counted bit string, bounds-checked against the frame before the
+     slice is allocated. *)
+  let read_slice r bits =
+    if bits > Wire.Reader.bits_remaining r then
+      proto_error "embedded string of %d bits overruns the frame" bits;
+    Wire.Reader.read_slice r ~len:bits
 
   let add_bytes w s =
     Wire.Writer.add_gamma w (String.length s);
-    add_byte_string w s
+    Wire.Writer.add_bits_of_string w s ~pos:0 ~len:(8 * String.length s)
 
   let read_bytes r =
     let len = Wire.Reader.read_gamma r in
     if len > Frame.max_frame then
       proto_error "embedded byte string of %d bytes exceeds frame cap" len;
-    read_byte_string r len
+    read_slice r (8 * len)
 
+  (* Only the [bits] significant bits cross the wire; the reader
+     restores the zero padding. *)
   let add_msg w (bytes, bits) =
     if String.length bytes <> (bits + 7) / 8 then
       invalid_arg "Socket_net.Codec.add_msg: bytes/bits mismatch";
     Wire.Writer.add_gamma w bits;
-    add_byte_string w bytes
+    Wire.Writer.add_bits_of_string w bytes ~pos:0 ~len:bits
 
   let read_msg r =
     let bits = Wire.Reader.read_gamma r in
-    if bits > 8 * Frame.max_frame then
-      proto_error "embedded message of %d bits exceeds frame cap" bits;
-    (read_byte_string r ((bits + 7) / 8), bits)
+    (read_slice r bits, bits)
 end
 
 (* Count fields precede variable-size repetitions; each counted entry
@@ -65,16 +62,37 @@ type result = {
   links : link_stats;
 }
 
+(* {2 Round frames}
+
+   Every field is an Elias-gamma integer ([Wire]). A payload is an
+   encoded message: its bit length, then exactly that many bits.
+
+   Host to coordinator, one frame per host per round: the round number,
+   then one record per owned slot, in slot order —
+   - [0]: idle (the slot decided earlier, or crashed);
+   - [1 v]: the slot decided [v];
+   - [2 G (payload k dst^k)^G]: [G] groups, each one payload and its
+     [k >= 1] destination slots;
+   - [3 payload]: broadcast to every slot.
+   A group is a run of physically-equal consecutive outbox messages:
+   a multisend is one group, and a sized exchange starts a new group
+   only where the message changes.
+
+   Coordinator to host, one frame per host per round: the round number
+   and a stop flag; unless stopping, then
+   - [T (src payload)^T]: the payload table, every (sender slot,
+     payload) group delivered to at least one of the host's slots;
+   - per owned slot, [c idx^c]: its inbox as indices into the table, in
+     delivery order.
+   So a payload crosses the wire to a host, and is decoded there, once
+   per round however many of the host's slots receive it. Billing is
+   per (sender, recipient) link regardless. *)
+
 (* {2 Coordinator} *)
 
-type slot_status = S_running | S_decided of int | S_crashed of int
+module Vec = Repro_util.Arena.Vec
 
-(* A slot's outbox for the round being routed, messages kept as opaque
-   (bytes, bits) — the coordinator never decodes protocol payloads. *)
-type round_outbox =
-  | No_outbox
-  | Ob_entries of (int * string * int) array  (* dst_slot, bytes, bits *)
-  | Ob_bcast of string * int
+type slot_status = S_running | S_decided of int | S_crashed of int
 
 let ignore_sigpipe () =
   (* A peer dying between our read and write must surface as [EPIPE]
@@ -123,10 +141,8 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
     Wire.Writer.contents w
   in
   Array.iter (fun io -> Frame.write_frame io cfg_frame) ios;
-  (* Round state. *)
+  (* Run state. *)
   let status = Array.make n S_running in
-  let outboxes = Array.make n No_outbox in
-  let deliveries : (int * string * int) list array = Array.make n [] in
   let alive = Array.make n_hosts true in
   let metrics = Metrics.create () in
   let link_msgs = Array.init n (fun _ -> Array.make n 0) in
@@ -139,65 +155,96 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
   (* Coordinator-private stream for the jitter/overlay knobs, derived
      away from the node streams (which split off [of_seed seed]). *)
   let knob_rng = Rng.of_seed (seed lxor 0x6e6574) in
+  (* Round state, reused every round. The payloads stay where they
+     arrived: group [g] is the [g_bits.(g)]-bit slice at bit [g_off.(g)]
+     of [frames.(g_host.(g))], sent by slot [g_src.(g)]. [g_dst.(g)] is
+     the index in [dsts] of its destination count, followed by the
+     destination slots, or -1 for a broadcast. Slot [s] sent the groups
+     [slot_g0.(s)] to [slot_g1.(s) - 1]. *)
+  let frames = Array.make n_hosts "" in
+  let g_src = Vec.create ~dummy:0 and g_host = Vec.create ~dummy:0 in
+  let g_off = Vec.create ~dummy:0 and g_bits = Vec.create ~dummy:0 in
+  let g_dst = Vec.create ~dummy:0 and dsts = Vec.create ~dummy:0 in
+  let slot_g0 = Array.make n 0 and slot_g1 = Array.make n 0 in
+  (* Deliveries, counting-sorted by recipient: slot [d]'s inbox is the
+     groups [inbox.(first.(d))] to [inbox.(first.(d + 1) - 1)]. *)
+  let live = Array.make n true in
+  let first = Array.make (n + 1) 0 and fill = Array.make n 0 in
+  let inbox = ref [||] in
+  (* Reply tables: [tab] lists a host's table in index order and
+     [tab_idx.(g)] is group [g]'s index in it (-1 when absent). *)
+  let tab = Vec.create ~dummy:0 in
+  let tab_idx = ref [||] in
   let bill src dst bits =
     link_msgs.(src).(dst) <- link_msgs.(src).(dst) + 1;
     link_bits.(src).(dst) <- link_bits.(src).(dst) + bits;
     Metrics.add_honest metrics ~bits;
     match on_message with Some f -> f ~src ~dst ~bits | None -> ()
   in
-  let push dst entry =
-    match status.(dst) with
-    | S_running -> deliveries.(dst) <- entry :: deliveries.(dst)
-    | S_decided _ | S_crashed _ -> ()
-  in
   let kill_host h =
     alive.(h) <- false;
     (try Unix.close fds.(h) with Unix.Unix_error _ -> ());
     let lo, hi = ranges.(h) in
     for s = lo to hi - 1 do
+      slot_g1.(s) <- slot_g0.(s);
       match status.(s) with
       | S_running ->
           status.(s) <- S_crashed !current_round;
-          Metrics.record_crash metrics;
-          outboxes.(s) <- No_outbox
+          Metrics.record_crash metrics
       | S_decided _ | S_crashed _ -> ()
     done
   in
+  let add_group h s r ~broadcast =
+    let bits = Wire.Reader.read_gamma r in
+    if bits > Wire.Reader.bits_remaining r then
+      proto_error "host %d: slot %d payload of %d bits overruns the frame" h s
+        bits;
+    Vec.push g_src s;
+    Vec.push g_host h;
+    Vec.push g_off (Wire.Reader.position r);
+    Vec.push g_bits bits;
+    Wire.Reader.skip r bits;
+    if broadcast then Vec.push g_dst (-1)
+    else begin
+      let k = read_count r in
+      if k = 0 then proto_error "host %d: slot %d group has no destination" h s;
+      Vec.push g_dst (Vec.length dsts);
+      Vec.push dsts k;
+      for _ = 1 to k do
+        let dst = Wire.Reader.read_gamma r in
+        if dst >= n then proto_error "host %d: destination slot %d" h dst;
+        Vec.push dsts dst
+      done
+    end
+  in
   let parse_host_frame h payload =
     let lo, hi = ranges.(h) in
+    frames.(h) <- payload;
     let r = Wire.Reader.of_string payload in
     let round = Wire.Reader.read_gamma r in
     if round <> !current_round then
       proto_error "host %d is at round %d, coordinator at %d" h round
         !current_round;
     for s = lo to hi - 1 do
-      match Wire.Reader.read_gamma r with
-      | 0 ->
-          (match status.(s) with
+      slot_g0.(s) <- Vec.length g_src;
+      (match Wire.Reader.read_gamma r with
+      | 0 -> (
+          match status.(s) with
           | S_running -> proto_error "host %d: running slot %d sent no outbox" h s
-          | S_decided _ | S_crashed _ -> ());
-          outboxes.(s) <- No_outbox
-      | 1 ->
+          | S_decided _ | S_crashed _ -> ())
+      | 1 -> (
           let v = Wire.Reader.read_gamma r in
-          (match status.(s) with
+          match status.(s) with
           | S_running -> status.(s) <- S_decided v
           | S_decided _ | S_crashed _ ->
-              proto_error "host %d: decision for non-running slot %d" h s);
-          outboxes.(s) <- No_outbox
+              proto_error "host %d: decision for non-running slot %d" h s)
       | 2 ->
-          let c = read_count r in
-          let entries = Array.make c (0, "", 0) in
-          for j = 0 to c - 1 do
-            let dst = Wire.Reader.read_gamma r in
-            if dst >= n then proto_error "host %d: destination slot %d" h dst;
-            let bytes, bits = Codec.read_msg r in
-            entries.(j) <- (dst, bytes, bits)
-          done;
-          outboxes.(s) <- Ob_entries entries
-      | 3 ->
-          let bytes, bits = Codec.read_msg r in
-          outboxes.(s) <- Ob_bcast (bytes, bits)
-      | t -> proto_error "host %d: unknown outbox tag %d" h t
+          for _ = 1 to read_count r do
+            add_group h s r ~broadcast:false
+          done
+      | 3 -> add_group h s r ~broadcast:true
+      | t -> proto_error "host %d: unknown outbox tag %d" h t);
+      slot_g1.(s) <- Vec.length g_src
     done
   in
   (* Broadcast billing under the sparse-overlay knob: a deterministic
@@ -239,20 +286,22 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
       frontier := List.rev !next
     done
   in
+  (* Two passes over the groups in ascending sender identity. The first
+     bills every link — like the engine, a broadcast bills all n links,
+     self and finished recipients included — and counts each live
+     recipient's deliveries; the second places them. *)
   let route () =
+    for d = 0 to n - 1 do
+      live.(d) <- (match status.(d) with S_running -> true | _ -> false)
+    done;
+    let g_bits = Vec.data g_bits and g_dst = Vec.data g_dst in
+    let dsts = Vec.data dsts in
+    Array.fill first 0 (n + 1) 0;
     Array.iter
       (fun s ->
-        match outboxes.(s) with
-        | No_outbox -> ()
-        | Ob_entries entries ->
-            Array.iter
-              (fun (dst, bytes, bits) ->
-                bill s dst bits;
-                push dst (s, bytes, bits))
-              entries
-        | Ob_bcast (bytes, bits) -> (
-            (* Like the engine: bill all n links (including self and
-               already-finished recipients), deliver to live ones. *)
+        for g = slot_g0.(s) to slot_g1.(s) - 1 do
+          let bits = g_bits.(g) and at = g_dst.(g) in
+          if at < 0 then begin
             (match overlay_fanout with
             | None ->
                 for d = 0 to n - 1 do
@@ -260,32 +309,90 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
                 done
             | Some k -> gossip_bill s bits k);
             for d = 0 to n - 1 do
-              push d (s, bytes, bits)
-            done))
+              if live.(d) then first.(d + 1) <- first.(d + 1) + 1
+            done
+          end
+          else
+            for i = at + 1 to at + dsts.(at) do
+              let d = dsts.(i) in
+              bill s d bits;
+              if live.(d) then first.(d + 1) <- first.(d + 1) + 1
+            done
+        done)
       order;
-    Array.fill outboxes 0 n No_outbox
+    for d = 1 to n do
+      first.(d) <- first.(d) + first.(d - 1)
+    done;
+    if Array.length !inbox < first.(n) then
+      inbox := Array.make (max first.(n) (2 * Array.length !inbox)) 0;
+    let inbox = !inbox in
+    Array.blit first 0 fill 0 n;
+    let put d g =
+      if live.(d) then begin
+        inbox.(fill.(d)) <- g;
+        fill.(d) <- fill.(d) + 1
+      end
+    in
+    Array.iter
+      (fun s ->
+        for g = slot_g0.(s) to slot_g1.(s) - 1 do
+          let at = g_dst.(g) in
+          if at < 0 then
+            for d = 0 to n - 1 do
+              put d g
+            done
+          else
+            for i = at + 1 to at + dsts.(at) do
+              put dsts.(i) g
+            done
+        done)
+      order;
+    let groups = Vec.length g_src in
+    if Array.length !tab_idx < groups then
+      tab_idx := Array.make (max groups (2 * Array.length !tab_idx)) (-1)
   in
   let reply_frame h ~stop =
-    let lo, hi = ranges.(h) in
-    let w = Wire.Writer.create () in
+    let w = Frame.writer () in
     Wire.Writer.add_gamma w !current_round;
     Wire.Writer.add_gamma w (if stop then 1 else 0);
-    if not stop then
-      for s = lo to hi - 1 do
-        let entries = List.rev deliveries.(s) in
-        Wire.Writer.add_gamma w (List.length entries);
-        List.iter
-          (fun (src, bytes, bits) ->
-            Wire.Writer.add_gamma w src;
-            Codec.add_msg w (bytes, bits))
-          entries
+    if not stop then begin
+      let lo, hi = ranges.(h) in
+      let inbox = !inbox and tab_idx = !tab_idx in
+      Vec.clear tab;
+      for i = first.(lo) to first.(hi) - 1 do
+        let g = inbox.(i) in
+        if tab_idx.(g) < 0 then begin
+          tab_idx.(g) <- Vec.length tab;
+          Vec.push tab g
+        end
       done;
-    Wire.Writer.contents w
+      let entries = Vec.length tab and tab = Vec.data tab in
+      let g_src = Vec.data g_src and g_host = Vec.data g_host in
+      let g_off = Vec.data g_off and g_bits = Vec.data g_bits in
+      Wire.Writer.add_gamma w entries;
+      for j = 0 to entries - 1 do
+        let g = tab.(j) in
+        Wire.Writer.add_gamma w g_src.(g);
+        Wire.Writer.add_gamma w g_bits.(g);
+        Wire.Writer.add_bits_of_string w frames.(g_host.(g)) ~pos:g_off.(g)
+          ~len:g_bits.(g)
+      done;
+      for s = lo to hi - 1 do
+        Wire.Writer.add_gamma w (first.(s + 1) - first.(s));
+        for i = first.(s) to first.(s + 1) - 1 do
+          Wire.Writer.add_gamma w tab_idx.(inbox.(i))
+        done
+      done;
+      for j = 0 to entries - 1 do
+        tab_idx.(tab.(j)) <- -1
+      done
+    end;
+    w
   in
   let send_replies ~stop =
     for h = 0 to n_hosts - 1 do
       if alive.(h) then
-        try Frame.write_frame ios.(h) (reply_frame h ~stop)
+        try Frame.write_writer ios.(h) (reply_frame h ~stop)
         with Unix.Unix_error _ | Frame.Protocol_error _ -> kill_host h
     done
   in
@@ -295,6 +402,9 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
   let rec loop () =
     if !current_round >= max_rounds then ()
     else begin
+      List.iter Vec.clear [ g_src; g_host; g_off; g_bits; g_dst; dsts ];
+      Array.fill slot_g0 0 n 0;
+      Array.fill slot_g1 0 n 0;
       for h = 0 to n_hosts - 1 do
         if alive.(h) then
           match Frame.read_frame ios.(h) with
@@ -315,7 +425,7 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
           if pause > 0. then Unix.sleepf pause
         end;
         send_replies ~stop:false;
-        Array.fill deliveries 0 n [];
+        Array.fill frames 0 n_hosts "";
         incr current_round;
         loop ()
       end
@@ -450,67 +560,108 @@ module Host (M : Network_intf.WIRE_MSG) = struct
       }
 
   let slot_of ctx_tbl dst =
-    match Hashtbl.find_opt ctx_tbl dst with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find ctx_tbl dst with
+    | s -> s
+    | exception Not_found ->
         invalid_arg
           (Printf.sprintf "Socket_net: destination %d is not a participant"
              dst)
+
+  (* A message record: the [len] outbox entries [(dst k, msg k)] as
+     groups, each run of physically-equal consecutive messages encoded
+     once. *)
+  let add_groups w ~id_to_slot ~len ~dst ~msg =
+    let groups = ref 0 in
+    for k = 0 to len - 1 do
+      if k = 0 || msg k != msg (k - 1) then incr groups
+    done;
+    Wire.Writer.add_gamma w 2;
+    Wire.Writer.add_gamma w !groups;
+    let k = ref 0 in
+    while !k < len do
+      let m = msg !k in
+      let stop = ref (!k + 1) in
+      while !stop < len && msg !stop == m do
+        incr stop
+      done;
+      Codec.add_msg w (M.encode m);
+      Wire.Writer.add_gamma w (!stop - !k);
+      for j = !k to !stop - 1 do
+        Wire.Writer.add_gamma w (slot_of id_to_slot (dst j))
+      done;
+      k := !stop
+    done
 
   let encode_outbox w ~id_to_slot = function
     | Ob_bcast m ->
         Wire.Writer.add_gamma w 3;
         Codec.add_msg w (M.encode m)
     | Ob_list l ->
-        Wire.Writer.add_gamma w 2;
-        Wire.Writer.add_gamma w (List.length l);
-        (* Multisend fans one physical message value out; encode once. *)
-        let last = ref None in
-        List.iter
-          (fun (dst, m) ->
-            Wire.Writer.add_gamma w (slot_of id_to_slot dst);
-            let enc =
-              match !last with
-              | Some (m0, e0) when m0 == m -> e0
-              | _ ->
-                  let e = M.encode m in
-                  last := Some (m, e);
-                  e
-            in
-            Codec.add_msg w enc)
-          l
+        let a = Array.of_list l in
+        add_groups w ~id_to_slot ~len:(Array.length a)
+          ~dst:(fun k -> fst a.(k))
+          ~msg:(fun k -> snd a.(k))
     | Ob_sized { dsts; msgs; len } ->
-        Wire.Writer.add_gamma w 2;
-        Wire.Writer.add_gamma w len;
-        for j = 0 to len - 1 do
-          Wire.Writer.add_gamma w (slot_of id_to_slot dsts.(j));
-          Codec.add_msg w (M.encode msgs.(j))
-        done
+        add_groups w ~id_to_slot ~len ~dst:(Array.get dsts)
+          ~msg:(Array.get msgs)
 
   let empty_inbox = { ib_src = [||]; ib_msg = [||]; ib_len = 0 }
 
-  let read_inbox r ~ids =
-    let c = read_count r in
-    if c = 0 then empty_inbox
-    else begin
-      let decode_entry () =
-        let src = Wire.Reader.read_gamma r in
-        if src >= Array.length ids then proto_error "source slot %d" src;
-        let bytes, _bits = Codec.read_msg r in
-        match M.decode bytes with
-        | Some m -> (ids.(src), m)
-        | None -> proto_error "undecodable message from slot %d" src
-      in
-      let src0, m0 = decode_entry () in
-      let ib_src = Array.make c src0 in
-      let ib_msg = Array.make c m0 in
-      for i = 1 to c - 1 do
-        let src, m = decode_entry () in
-        ib_src.(i) <- src;
-        ib_msg.(i) <- m
-      done;
-      { ib_src; ib_msg; ib_len = c }
-    end
+  (* A reply's table and inboxes (the stop flag already read): every
+     table payload is decoded once, and every inbox entry shares the
+     decoded value. *)
+  let read_inboxes r ~ids ~lo ~hi inboxes =
+    let n = Array.length ids in
+    let entries = read_count r in
+    let entry () =
+      let src = Wire.Reader.read_gamma r in
+      if src >= n then proto_error "table source slot %d" src;
+      let bytes, _bits = Codec.read_msg r in
+      match M.decode bytes with
+      | Some m -> (ids.(src), m)
+      | None -> proto_error "undecodable payload from slot %d" src
+    in
+    let tab_src, tab_msg =
+      if entries = 0 then ([||], [||])
+      else begin
+        let src0, m0 = entry () in
+        let tab_src = Array.make entries src0 in
+        let tab_msg = Array.make entries m0 in
+        for j = 1 to entries - 1 do
+          let src, m = entry () in
+          tab_src.(j) <- src;
+          tab_msg.(j) <- m
+        done;
+        (tab_src, tab_msg)
+      end
+    in
+    let index () =
+      let j = Wire.Reader.read_gamma r in
+      if j >= entries then
+        proto_error "payload index %d outside a %d-entry table" j entries;
+      j
+    in
+    for s = lo to hi - 1 do
+      let c = read_count r in
+      inboxes.(s) <-
+        (if c = 0 then empty_inbox
+         else begin
+           let j0 = index () in
+           let ib_src = Array.make c tab_src.(j0) in
+           let ib_msg = Array.make c tab_msg.(j0) in
+           for i = 1 to c - 1 do
+             let j = index () in
+             ib_src.(i) <- tab_src.(j);
+             ib_msg.(i) <- tab_msg.(j)
+           done;
+           { ib_src; ib_msg; ib_len = c }
+         end)
+    done
+
+  (* Reading past the end of a frame raises [Invalid_argument] in
+     [Wire]; on the host that is a malformed frame like any other. *)
+  let parsing what f =
+    try f () with Invalid_argument msg -> proto_error "%s: %s" what msg
 
   let run ~fd ~host_index ~program =
     ignore_sigpipe ();
@@ -523,21 +674,27 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     in
     Frame.write_frame io hello;
     let r = Wire.Reader.of_string (Frame.read_frame io) in
-    if Wire.Reader.read_gamma r <> magic then
-      proto_error "config: bad magic (mismatched peer?)";
-    let n = Wire.Reader.read_gamma r in
-    let n_hosts = Wire.Reader.read_gamma r in
-    let seed = Wire.Reader.read_gamma r in
-    (* n is wire-derived: cap it (Frame.max_frame is far above any real
-       run) so a hostile coordinator cannot force an absurd allocation. *)
-    if n = 0 || n > Frame.max_frame || n_hosts < 1 || host_index >= n_hosts
-    then
-      proto_error "config: n=%d n_hosts=%d host_index=%d" n n_hosts host_index;
-    let ids = Array.make n 0 in
-    for s = 0 to n - 1 do
-      ids.(s) <- Wire.Reader.read_gamma r
-    done;
-    let extra = Codec.read_bytes r in
+    let ids, n_hosts, seed, extra =
+      parsing "config" (fun () ->
+          if Wire.Reader.read_gamma r <> magic then
+            proto_error "config: bad magic (mismatched peer?)";
+          let n = Wire.Reader.read_gamma r in
+          let n_hosts = Wire.Reader.read_gamma r in
+          let seed = Wire.Reader.read_gamma r in
+          (* n is wire-derived: cap it (Frame.max_frame is far above any
+             real run) so a hostile coordinator cannot force an absurd
+             allocation. *)
+          if n = 0 || n > Frame.max_frame || n_hosts < 1 || host_index >= n_hosts
+          then
+            proto_error "config: n=%d n_hosts=%d host_index=%d" n n_hosts
+              host_index;
+          let ids = Array.make n 0 in
+          for s = 0 to n - 1 do
+            ids.(s) <- Wire.Reader.read_gamma r
+          done;
+          (ids, n_hosts, seed, Codec.read_bytes r))
+    in
+    let n = Array.length ids in
     let lo, hi = Repro_util.Shard.range ~n ~shards:n_hosts host_index in
     let id_to_slot = Hashtbl.create (2 * n) in
     Array.iteri
@@ -571,7 +728,7 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     let inboxes = Array.make n empty_inbox in
     let continue_running = ref true in
     while !continue_running do
-      let w = Wire.Writer.create () in
+      let w = Frame.writer () in
       Wire.Writer.add_gamma w !current_round;
       for s = lo to hi - 1 do
         match (fresh.(s), states.(s)) with
@@ -582,16 +739,20 @@ module Host (M : Network_intf.WIRE_MSG) = struct
         | None, None -> Wire.Writer.add_gamma w 0
         | None, Some (outbox, _) -> encode_outbox w ~id_to_slot outbox
       done;
-      Frame.write_frame io (Wire.Writer.contents w);
+      Frame.write_writer io w;
       let r = Wire.Reader.of_string (Frame.read_frame io) in
-      let round = Wire.Reader.read_gamma r in
-      if round <> !current_round then
-        proto_error "reply for round %d at round %d" round !current_round;
-      if Wire.Reader.read_gamma r = 1 then continue_running := false
+      let stop =
+        parsing "reply" (fun () ->
+            let round = Wire.Reader.read_gamma r in
+            if round <> !current_round then
+              proto_error "reply for round %d at round %d" round
+                !current_round;
+            let stop = Wire.Reader.read_gamma r = 1 in
+            if not stop then read_inboxes r ~ids ~lo ~hi inboxes;
+            stop)
+      in
+      if stop then continue_running := false
       else begin
-        for s = lo to hi - 1 do
-          inboxes.(s) <- read_inbox r ~ids
-        done;
         incr current_round;
         for s = lo to hi - 1 do
           match states.(s) with

@@ -8,12 +8,18 @@
     protocols' existing [Wire] codecs.
 
     Each round: every host sends one frame batching its slice's
-    outboxes (and freshly decided results); the coordinator bills every
-    message — per (src, dst) link and into the same {!Repro_sim.Metrics}
-    rows the simulator fills — routes deliveries in ascending source
-    identity order, and answers each host with its slice's inboxes. A
-    host connection failing mid-round maps to [Crashed round] for every
-    node still running on it; everyone else keeps going.
+    outboxes (and freshly decided results), each run of physically-equal
+    consecutive messages encoded once with its destination list; the
+    coordinator bills every message — per (src, dst) link and into the
+    same {!Repro_sim.Metrics} rows the simulator fills — routes
+    deliveries in ascending source identity order without decoding or
+    copying payloads, and answers each host with a payload table (every
+    distinct payload its slots receive, once) plus its slots' inboxes as
+    indices into that table. Hosts decode each table payload once and
+    share the decoded value across their inboxes. A host connection
+    failing mid-round, or sending a malformed frame, maps to
+    [Crashed round] for every node still running on it; everyone else
+    keeps going.
 
     Determinism: per-node rngs are [Rng.split] off the seed in slot
     order exactly as the simulator derives them, and delivery order is
@@ -21,6 +27,10 @@
     same assignments, message count and bit count as the simulator.
     Wall-clock (and the latency/jitter knob) never feeds back into
     protocol behaviour. *)
+
+val magic : int
+(** Stream format version, the first field of both handshake frames:
+    a peer built for another frame layout is rejected at the hello. *)
 
 type config = {
   ids : int array;  (** all participants' identities, slot-indexed *)

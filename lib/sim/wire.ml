@@ -1,3 +1,65 @@
+(* Bit-field primitives shared by the writer and the reader. Fields of
+   at most [chunk] = 56 bits span at most 8 bytes, so one int
+   accumulates them whatever the bit offset; wider fields split in two.
+
+   [get_bits s pos w] reads the [w] bits of [s] starting at bit [pos],
+   msb first; the caller has bounds-checked [pos + w <= 8 * length s].
+   When the span needs all 8 bytes its top bit is lost to the 63-bit
+   int, but the offset is then [>= 1] and that bit lies before [pos]. *)
+let chunk = 56
+
+let get_bits s pos w =
+  if w = 0 then 0
+  else begin
+    let i = pos lsr 3 in
+    let span = (pos land 7) + w in
+    let nb = (span + 7) lsr 3 in
+    let acc = ref 0 in
+    for k = 0 to nb - 1 do
+      acc := (!acc lsl 8) lor Char.code (String.unsafe_get s (i + k))
+    done;
+    (!acc lsr ((nb lsl 3) - span)) land ((1 lsl w) - 1)
+  end
+
+(* [put_bits b pos v w] writes [v]'s low [w <= chunk] bits at bit [pos]
+   of [b]. Relies on every bit from [pos] on being 0 (the writer's
+   trailing-zeros invariant), so the first byte is ORed and the rest
+   overwritten; the caller guarantees the bytes exist. *)
+let put_bits b pos v w =
+  if w > 0 then begin
+    let i = pos lsr 3 in
+    let span = (pos land 7) + w in
+    let nb = (span + 7) lsr 3 in
+    let x = v lsl ((nb lsl 3) - span) in
+    let last = nb - 1 in
+    Bytes.unsafe_set b i
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get b i) lor ((x lsr (last lsl 3)) land 0xff)));
+    for k = 1 to last do
+      Bytes.unsafe_set b (i + k)
+        (Char.unsafe_chr ((x lsr ((last - k) lsl 3)) land 0xff))
+    done
+  end
+
+(* Copy [len] bits of [src] from bit [src_pos] to bit [dst_pos] of [dst],
+   every bit of which from [dst_pos] on is 0: one byte blit when both
+   sides are byte-aligned, [chunk]-bit pieces otherwise. *)
+let blit_bits ~src ~src_pos ~dst ~dst_pos ~len =
+  if src_pos land 7 = 0 && dst_pos land 7 = 0 then begin
+    let whole = len lsr 3 in
+    Bytes.blit_string src (src_pos lsr 3) dst (dst_pos lsr 3) whole;
+    let done_ = whole lsl 3 and tail = len land 7 in
+    put_bits dst (dst_pos + done_) (get_bits src (src_pos + done_) tail) tail
+  end
+  else begin
+    let copied = ref 0 in
+    while !copied < len do
+      let w = min chunk (len - !copied) in
+      put_bits dst (dst_pos + !copied) (get_bits src (src_pos + !copied) w) w;
+      copied := !copied + w
+    done
+  end
+
 module Writer = struct
   type t = { mutable bytes : Bytes.t; mutable len_bits : int }
 
@@ -43,47 +105,36 @@ module Writer = struct
     if width < 0 || width > 62 then invalid_arg "Wire.Writer.add_fixed: width";
     if v < 0 || (width < 62 && v lsr width <> 0) then
       invalid_arg "Wire.Writer.add_fixed: value does not fit";
-    if width < 8 then
-      for i = width - 1 downto 0 do
-        add_bit t ((v lsr i) land 1 = 1)
-      done
+    ensure t width;
+    let pos = t.len_bits in
+    if width <= chunk then put_bits t.bytes pos v width
     else begin
-      (* Byte-aligned fast path: emit whole bytes of [v] (msb first)
-         straddling at most two buffer bytes each, then finish the
-         remaining [width mod 8] bits bit-by-bit. [ensure] covers the
-         whole field up front, so the straddle byte is always in
-         bounds, and the trailing-zeros invariant lets us OR into the
-         current byte and overwrite the next. *)
-      ensure t width;
-      let bytes = t.bytes in
-      let w = ref width in
-      while !w >= 8 do
-        let b = (v lsr (!w - 8)) land 0xff in
-        let pos = t.len_bits in
-        let i = pos lsr 3 and o = pos land 7 in
-        if o = 0 then Bytes.unsafe_set bytes i (Char.unsafe_chr b)
-        else begin
-          let cur = Char.code (Bytes.unsafe_get bytes i) in
-          Bytes.unsafe_set bytes i (Char.unsafe_chr (cur lor (b lsr o)));
-          Bytes.unsafe_set bytes (i + 1)
-            (Char.unsafe_chr ((b lsl (8 - o)) land 0xff))
-        end;
-        t.len_bits <- pos + 8;
-        w := !w - 8
-      done;
-      for i = !w - 1 downto 0 do
-        add_bit t ((v lsr i) land 1 = 1)
-      done
-    end
+      put_bits t.bytes pos (v lsr 31) (width - 31);
+      put_bits t.bytes (pos + width - 31) (v land 0x7fff_ffff) 31
+    end;
+    t.len_bits <- pos + width
 
   let add_gamma t v =
     if v < 0 then invalid_arg "Wire.Writer.add_gamma: negative";
     let v = v + 1 in
     let k = Repro_util.Ilog.floor_log2 v in
-    add_zeros t k;
-    add_fixed t v ~width:(k + 1)
+    (* [k] zeros then the [k + 1] bits of [v] are one field of width
+       [2k + 1] holding [v]; wider codes take the two steps. *)
+    if k <= 30 then add_fixed t v ~width:((2 * k) + 1)
+    else begin
+      add_zeros t k;
+      add_fixed t v ~width:(k + 1)
+    end
+
+  let add_bits_of_string t s ~pos ~len =
+    if pos < 0 || len < 0 || pos > (8 * String.length s) - len then
+      invalid_arg "Wire.Writer.add_bits_of_string: range";
+    ensure t len;
+    blit_bits ~src:s ~src_pos:pos ~dst:t.bytes ~dst_pos:t.len_bits ~len;
+    t.len_bits <- t.len_bits + len
 
   let contents t = Bytes.sub_string t.bytes 0 ((t.len_bits + 7) / 8)
+  let buffer t = t.bytes
 end
 
 module Reader = struct
@@ -100,59 +151,66 @@ module Reader = struct
     t.pos <- t.pos + 1;
     b
 
+  let position t = t.pos
+
+  let check t bits =
+    if bits > (8 * String.length t.data) - t.pos then
+      invalid_arg "Wire.Reader: out of bits"
+
   let read_fixed t ~width =
     if width < 0 || width > 62 then invalid_arg "Wire.Reader.read_fixed: width";
-    if width < 8 then begin
-      let v = ref 0 in
-      for _ = 1 to width do
-        v := (!v lsl 1) lor if read_bit t then 1 else 0
-      done;
-      !v
+    check t width;
+    let pos = t.pos in
+    t.pos <- pos + width;
+    if width <= chunk then get_bits t.data pos width
+    else
+      (get_bits t.data pos (width - 31) lsl 31)
+      lor get_bits t.data (pos + width - 31) 31
+
+  let skip t len =
+    if len < 0 then invalid_arg "Wire.Reader.skip: negative";
+    check t len;
+    t.pos <- t.pos + len
+
+  let read_slice t ~len =
+    if len < 0 then invalid_arg "Wire.Reader.read_slice: negative";
+    check t len;
+    let b = Bytes.make ((len + 7) / 8) '\000' in
+    blit_bits ~src:t.data ~src_pos:t.pos ~dst:b ~dst_pos:0 ~len;
+    t.pos <- t.pos + len;
+    Bytes.unsafe_to_string b
+
+  (* The zero run is scanned a byte at a time. The writer can never emit
+     more than 61 zeros ([add_gamma] caps at [floor_log2 max_int] = 61);
+     accepting 62 would compute [(1 lsl 62) lor rest], which wraps
+     negative on 63-bit ints. Returns the run length [k] having consumed
+     the run and the 1 closing it, the value's top bit. *)
+  let rec gamma_zeros t k =
+    let pos = t.pos in
+    if pos >= 8 * String.length t.data then
+      invalid_arg "Wire.Reader: out of bits";
+    let o = pos land 7 in
+    let byte =
+      Char.code (String.unsafe_get t.data (pos lsr 3)) land (0xff lsr o)
+    in
+    if byte = 0 then begin
+      let k = k + 8 - o in
+      if k > 61 then invalid_arg "Wire.Reader: gamma";
+      t.pos <- pos + 8 - o;
+      gamma_zeros t k
     end
     else begin
-      (* Byte-aligned fast path, mirroring [Writer.add_fixed]: consume
-         whole bytes (msb first) straddling at most two input bytes each,
-         then finish the remaining [width mod 8] bits bit-by-bit. The
-         whole field is bounds-checked up front, so [pos + 8 <= 8*len]
-         holds inside the loop and (for a straddle, [o > 0]) byte [i+1]
-         exists: [8i + o + 8 <= 8*len] with [o >= 1] gives [i+1 < len]. *)
-      if t.pos + width > 8 * String.length t.data then
-        invalid_arg "Wire.Reader: out of bits";
-      let data = t.data in
-      let v = ref 0 in
-      let w = ref width in
-      while !w >= 8 do
-        let pos = t.pos in
-        let i = pos lsr 3 and o = pos land 7 in
-        let b =
-          if o = 0 then Char.code (String.unsafe_get data i)
-          else
-            let hi = Char.code (String.unsafe_get data i) in
-            let lo = Char.code (String.unsafe_get data (i + 1)) in
-            ((hi lsl o) lor (lo lsr (8 - o))) land 0xff
-        in
-        v := (!v lsl 8) lor b;
-        t.pos <- pos + 8;
-        w := !w - 8
-      done;
-      for _ = 1 to !w do
-        v := (!v lsl 1) lor if read_bit t then 1 else 0
-      done;
-      !v
+      let z = 7 - Repro_util.Ilog.floor_log2 byte - o in
+      let k = k + z in
+      if k > 61 then invalid_arg "Wire.Reader: gamma";
+      t.pos <- pos + z + 1;
+      k
     end
 
   let read_gamma t =
-    let k = ref 0 in
-    while not (read_bit t) do
-      incr k;
-      (* The writer can never emit k > 61 ([add_gamma] caps at
-         [floor_log2 max_int] = 61); accepting k = 62 would compute
-         [(1 lsl 62) lor rest], which wraps negative on 63-bit ints. *)
-      if !k > 61 then invalid_arg "Wire.Reader: gamma"
-    done;
-    (* The leading 1 already consumed is the top bit of the value. *)
-    let rest = read_fixed t ~width:!k in
-    ((1 lsl !k) lor rest) - 1
+    let k = gamma_zeros t 0 in
+    let rest = read_fixed t ~width:k in
+    ((1 lsl k) lor rest) - 1
 end
 
 let gamma_bits v =

@@ -19,9 +19,9 @@ module Writer : sig
 
   val add_fixed : t -> int -> width:int -> unit
   (** Write [width] bits of a non-negative value, most significant first.
-      Widths [>= 8] take a byte-aligned fast path (whole output bytes at
-      a time, bit-identical to writing through {!add_bit} — the QCheck
-      suite asserts this differentially).
+      Every width is written a machine word at a time (up to 56 bits per
+      step, whatever the bit offset), bit-identical to writing through
+      {!add_bit} — the QCheck suite asserts this differentially.
       @raise Invalid_argument if the value does not fit or width is not
       in [\[0, 62\]]. *)
 
@@ -31,8 +31,22 @@ module Writer : sig
       zero-filled past the write position by construction, so emitting
       zeros only advances the length. *)
 
+  val add_bits_of_string : t -> string -> pos:int -> len:int -> unit
+  (** [add_bits_of_string w s ~pos ~len] appends the [len] bits of [s]
+      that start at bit [pos] (msb-first within each byte): one byte
+      blit when both positions are byte-aligned, 56-bit steps otherwise.
+      @raise Invalid_argument unless [0 <= pos] and
+      [pos + len <= 8 * String.length s]. *)
+
   val contents : t -> string
   (** The encoded bits, zero-padded to whole bytes. *)
+
+  val buffer : t -> Bytes.t
+  (** The live buffer, without a copy: its first
+      [(bit_length t + 7) / 8] bytes are {!contents}. Invalidated by the
+      next append; writing into it is only for a caller that owns and
+      then drops the writer ([Repro_net.Frame.write_writer] patches its
+      length header in place). *)
 end
 
 module Reader : sig
@@ -46,6 +60,20 @@ module Reader : sig
   (** Each raises [Invalid_argument "Wire.Reader: out of bits"] when the
       input is exhausted, and [Invalid_argument "Wire.Reader: gamma"] on a
       malformed gamma prefix. *)
+
+  val position : t -> int
+  (** Bits consumed so far: the offset of the next field in the input,
+      for {!Writer.add_bits_of_string} to copy from later. *)
+
+  val skip : t -> int -> unit
+  (** Consume that many bits without reading them.
+      @raise Invalid_argument as above. *)
+
+  val read_slice : t -> len:int -> string
+  (** Consume the next [len] bits as a fresh string, zero-padded to whole
+      bytes — the byte form a [Writer] holding exactly those bits
+      returns from [contents].
+      @raise Invalid_argument as above. *)
 end
 
 val gamma_bits : int -> int

@@ -5,24 +5,26 @@ let of_splitmix sm = Splitmix.copy sm
 let split = Splitmix.split
 let bits64 = Splitmix.next
 
+(* Rejection sampling over the non-negative 62-bit range to avoid
+   modulo bias: a draw is rejected when it falls in the last, partial
+   block of [bound] values below [max_int] — [v >= max_int - max_int mod
+   bound], which is [v - v mod bound > max_int - bound]: one division
+   per draw. *)
+let rec draw t bound =
+  let v = Splitmix.next_int t land max_int in
+  let r = v mod bound in
+  if v - r > max_int - bound then draw t bound else r
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int";
-  (* Rejection sampling over the non-negative 62-bit range to avoid
-     modulo bias. *)
-  let mask = max_int in
-  let rec go () =
-    let v = Int64.to_int (Splitmix.next t) land mask in
-    let limit = mask - (mask mod bound) in
-    if v >= limit then go () else v mod bound
-  in
-  go ()
+  draw t bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in";
   lo + int t (hi - lo + 1)
 
 let float t =
-  let v = Int64.to_int (Splitmix.next t) land max_int in
+  let v = Splitmix.next_int t land max_int in
   float_of_int v /. (float_of_int max_int +. 1.)
 
 let bool t = Int64.logand (Splitmix.next t) 1L = 1L

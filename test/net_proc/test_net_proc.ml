@@ -102,7 +102,7 @@ let test_disconnect_at_start () =
            let fd = connect port in
            let io = Frame.io_of_fd fd in
            let w = Wire.Writer.create () in
-           Wire.Writer.add_gamma w 0x524e31;
+           Wire.Writer.add_gamma w SN.magic;
            Wire.Writer.add_gamma w 0;
            Frame.write_frame io (Wire.Writer.contents w);
            ignore (Frame.read_frame io);
@@ -137,7 +137,7 @@ let test_protocol_violation () =
            let fd = connect port in
            let io = Frame.io_of_fd fd in
            let w = Wire.Writer.create () in
-           Wire.Writer.add_gamma w 0x524e31;
+           Wire.Writer.add_gamma w SN.magic;
            Wire.Writer.add_gamma w 0;
            Frame.write_frame io (Wire.Writer.contents w);
            ignore (Frame.read_frame io);
@@ -179,6 +179,160 @@ let test_fault_free_decides () =
   let a = Repro_renaming.Runner.assess res.SN.run in
   Alcotest.(check int) "messages" (3 * 4 * 4) a.Repro_renaming.Runner.messages
 
+(* {2 Socket backend = simulator}
+
+   Every protocol, and a program that uses every outbox shape, run over
+   two forked hosts and on the engine with the same ids and seed: the
+   assignments, totals and per-round rows must be equal, and the
+   coordinator's link tables must sum to the engine's totals. Engine
+   runs pin [~shards:1] so this process never spawns a domain and can
+   keep forking. *)
+
+module CR = Repro_renaming.Crash_renaming
+module HV = Repro_renaming.Halving_renaming
+module FL = Repro_renaming.Flooding_renaming
+module BZ = Repro_renaming.Byzantine_renaming
+module Runner = Repro_renaming.Runner
+
+let serve_forked ~ids ~seed ~extra host_main =
+  let listen, port = listen_ephemeral () in
+  let config = { SN.ids; seed; n_hosts = 2; extra } in
+  let pids =
+    List.init 2 (fun host_index ->
+        match Unix.fork () with
+        | 0 ->
+            (try
+               host_main ~fd:(connect port) ~host_index;
+               Unix._exit 0
+             with _ -> Unix._exit 1)
+        | pid -> pid)
+  in
+  let res = SN.serve ~listen ~config ~max_rounds:10_000 () in
+  Unix.close listen;
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "a host process failed")
+    pids;
+  res
+
+let sum_matrix m =
+  Array.fold_left (Array.fold_left ( + )) 0 m
+
+let check_equiv name (sock : SN.result) (sim : int Engine.run_result) =
+  let a = Runner.assess sock.SN.run and b = Runner.assess sim in
+  let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+  Alcotest.(check (list (pair int int)))
+    (name ^ ": assignments") b.Runner.assignments a.Runner.assignments;
+  check_int "decided" b.Runner.decided a.Runner.decided;
+  check_int "messages" b.Runner.messages a.Runner.messages;
+  check_int "bits" b.Runner.bits a.Runner.bits;
+  check_int "rounds" b.Runner.rounds a.Runner.rounds;
+  check_int "coordinator rounds" b.Runner.rounds sock.SN.rounds;
+  Alcotest.(check bool)
+    (name ^ ": per-round rows") true
+    (a.Runner.per_round = b.Runner.per_round);
+  check_int "link_msgs sum" b.Runner.messages
+    (sum_matrix sock.SN.links.SN.link_msgs);
+  check_int "link_bits sum" b.Runner.bits
+    (sum_matrix sock.SN.links.SN.link_bits)
+
+let protocol_ids ~seed ~n =
+  Repro_renaming.Experiment.random_ids ~seed ~namespace:(64 * n) ~n
+
+let test_equiv_protocols () =
+  let n = 24 and seed = 3 in
+  let ids = protocol_ids ~seed ~n in
+  let crash =
+    serve_forked ~ids ~seed ~extra:"" (fun ~fd ~host_index ->
+        let module H = SN.Host (CR.Msg) in
+        let module P = CR.Make_node (H) in
+        H.run ~fd ~host_index ~program:(fun ~extra:_ ctx ->
+            P.program CR.experiment_params ctx))
+  in
+  let halving =
+    serve_forked ~ids ~seed ~extra:"" (fun ~fd ~host_index ->
+        let module H = SN.Host (CR.Msg) in
+        let module P = HV.Make_node (H) in
+        H.run ~fd ~host_index ~program:(fun ~extra:_ ctx -> P.program ctx))
+  in
+  let flood = { FL.rounds = `Tolerate 2 } in
+  let flooding =
+    serve_forked ~ids ~seed ~extra:"" (fun ~fd ~host_index ->
+        let module H = SN.Host (FL.Msg) in
+        let module P = FL.Make_node (H) in
+        H.run ~fd ~host_index ~program:(fun ~extra:_ ctx ->
+            P.program flood ctx))
+  in
+  let byz_params = BZ.default_params ~namespace:(64 * n) ~shared_seed:seed in
+  let byz =
+    serve_forked ~ids ~seed ~extra:"" (fun ~fd ~host_index ->
+        let module H = SN.Host (BZ.Msg) in
+        let module P = BZ.Make_node (H) in
+        H.run ~fd ~host_index ~program:(fun ~extra:_ ctx ->
+            P.program byz_params ctx))
+  in
+  check_equiv "crash" crash
+    (CR.run ~params:CR.experiment_params ~seed ~shards:1 ~ids ());
+  check_equiv "halving" halving (HV.run ~seed ~shards:1 ~ids ());
+  check_equiv "flooding" flooding
+    (FL.run ~params:flood ~seed ~shards:1 ~ids ());
+  check_equiv "byz" byz (BZ.run ~params:byz_params ~seed ~shards:1 ~ids ())
+
+(* Every outbox shape, with runs of physically-equal messages broken
+   and unbroken, a destination repeated within a run, and nodes deciding
+   in rounds 2 to 5 — so later rounds bill messages to finished nodes
+   that are not delivered. The decision folds in every inbox entry
+   (source, payload, position), so equal assignments mean equal
+   inboxes. *)
+module Mixed (N : Repro_net.Network_intf.S with type msg = TMsg.t) = struct
+  let program ctx =
+    let me = N.my_id ctx and ids = N.all_ids ctx in
+    let n = Array.length ids in
+    let acc = ref me in
+    let absorb inbox =
+      N.Inbox.iter inbox ~f:(fun ~src (TMsg.Ping v) ->
+          acc := ((!acc * 31) + (src * 7) + v) land 0xffffff)
+    in
+    let a = TMsg.Ping me and b = TMsg.Ping (me + 1) in
+    let dsts = Array.append ids [| ids.(0) |] in
+    let msgs = Array.init (n + 1) (fun k -> if k mod 3 = 2 then b else a) in
+    let sizes = Array.map TMsg.bits msgs in
+    for r = 0 to 1 + (me mod 4) do
+      absorb
+        (match r mod 5 with
+        | 0 -> N.broadcast ctx (TMsg.Ping (me + r))
+        | 1 -> N.multisend ctx ~dsts:[ ids.(1); ids.(0); ids.(1) ] a
+        | 2 -> N.exchange_sized ctx ~dsts ~msgs ~sizes ~len:(n + 1)
+        | 3 ->
+            N.exchange ctx
+              [ (ids.(2), a); (ids.(2), a); (ids.(0), TMsg.Ping 7); (me, b) ]
+        | _ -> N.skip_round ctx)
+    done;
+    !acc
+end
+
+module Sim = Engine.Make (TMsg)
+module Mixed_sim = Mixed (Sim)
+module Mixed_host = Mixed (H)
+
+let test_equiv_mixed_shapes () =
+  let ids = [| 5; 17; 3; 40; 28; 9; 33 |] and seed = 4 in
+  let sock =
+    serve_forked ~ids ~seed ~extra:"" (fun ~fd ~host_index ->
+        H.run ~fd ~host_index ~program:(fun ~extra:_ ctx ->
+            Mixed_host.program ctx))
+  in
+  check_equiv "mixed" sock
+    (Sim.run ~ids ~seed ~shards:1 ~program:Mixed_sim.program ());
+  let rounds =
+    List.sort_uniq compare
+      (List.map (fun id -> 2 + (id mod 4)) (Array.to_list ids))
+  in
+  Alcotest.(check bool) "nodes decide in different rounds" true
+    (List.length rounds > 1)
+
 let () =
   Alcotest.run "repro-renaming-net-proc"
     [
@@ -192,5 +346,9 @@ let () =
             test_protocol_violation;
           Alcotest.test_case "fault-free decides with exact billing" `Quick
             test_fault_free_decides;
+          Alcotest.test_case "four protocols match the engine" `Quick
+            test_equiv_protocols;
+          Alcotest.test_case "every outbox shape matches the engine" `Quick
+            test_equiv_mixed_shapes;
         ] );
     ]

@@ -81,6 +81,81 @@ let test_float_range () =
     if f < 0. || f >= 1. then Alcotest.failf "float out of range: %f" f
   done
 
+(* {2 random_ids pin}
+
+   [Experiment.random_ids] against a self-contained copy of the
+   implementation it replaced: a boxed-[int64] SplitMix64, the
+   two-division rejection sampler, and a shuffle of a copy of the pool.
+   The unboxed state, the one-division sampler and the in-place shuffle
+   must draw the very same ids. *)
+
+module Ref_rng = struct
+  type t = { mutable state : int64 }
+
+  let next t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z =
+      Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L)
+    in
+    let z =
+      Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL)
+    in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let int t bound =
+    let mask = max_int in
+    let rec go () =
+      let v = Int64.to_int (next t) land mask in
+      let limit = mask - (mask mod bound) in
+      if v >= limit then go () else v mod bound
+    in
+    go ()
+
+  let random_ids ~seed ~namespace ~n =
+    let t = { state = Int64.of_int seed } in
+    let copy = Array.init namespace (fun i -> i + 1) in
+    for i = Array.length copy - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = copy.(i) in
+      copy.(i) <- copy.(j);
+      copy.(j) <- tmp
+    done;
+    let ids = Array.sub copy 0 (min n namespace) in
+    Array.sort Int.compare ids;
+    ids
+end
+
+let test_random_ids_pinned () =
+  List.iter
+    (fun (seed, namespace, n) ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "seed %d, namespace %d, n %d" seed namespace n)
+        (Ref_rng.random_ids ~seed ~namespace ~n)
+        (Repro_renaming.Experiment.random_ids ~seed ~namespace ~n))
+    [
+      (0, 1, 1);
+      (1, 64, 64);
+      (7, 1000, 1000);
+      (3, 4096, 1);
+      (42, 4096, 64);
+      (0x1d5, 65536, 1024);
+      (max_int, 300, 17);
+    ]
+
+let test_int_draws_pinned () =
+  (* Bounds near powers of two and near [max_int] reject most often:
+     both samplers must accept and reject the same draws. *)
+  List.iter
+    (fun bound ->
+      let t = Ref_rng.{ state = 99L } and r = Rng.of_seed 99 in
+      for _ = 1 to 200 do
+        Alcotest.(check int)
+          (Printf.sprintf "bound %d" bound)
+          (Ref_rng.int t bound) (Rng.int r bound)
+      done)
+    [ 1; 2; 3; 1000; 1 lsl 40; (1 lsl 61) + 1; max_int / 3 * 2; max_int ]
+
 let suite =
   ( "rng",
     [
@@ -92,6 +167,10 @@ let suite =
       Alcotest.test_case "sample without replacement" `Quick
         test_sample_without_replacement;
       Alcotest.test_case "float range" `Quick test_float_range;
+      Alcotest.test_case "random_ids = reference implementation" `Quick
+        test_random_ids_pinned;
+      Alcotest.test_case "int draws = reference sampler" `Quick
+        test_int_draws_pinned;
       QCheck_alcotest.to_alcotest qcheck_int_range;
       QCheck_alcotest.to_alcotest qcheck_int_in;
       QCheck_alcotest.to_alcotest qcheck_bernoulli_extremes;

@@ -191,6 +191,289 @@ let test_codec_roundtrips () =
       BZ.Msg.New (Some 12);
     ]
 
+(* {2 Frame writers}
+
+   [Frame.write_writer] sends a [Frame.writer]'s own buffer: the bytes on
+   the wire must equal [write_frame] of the same payload, through short
+   writes too. *)
+
+let test_write_writer () =
+  let fill w =
+    for v = 0 to 299 do
+      Wire.Writer.add_gamma w (v * 37)
+    done
+  in
+  let plain = Wire.Writer.create () in
+  fill plain;
+  let payload = Wire.Writer.contents plain in
+  List.iter
+    (fun chunk ->
+      let expect, eio = mem_writer ~chunk:4096 in
+      Frame.write_frame eio payload;
+      let got, gio = mem_writer ~chunk in
+      let w = Frame.writer () in
+      fill w;
+      Frame.write_writer gio w;
+      Alcotest.(check string)
+        (Printf.sprintf "chunk %d: same bytes as write_frame" chunk)
+        (Buffer.contents expect) (Buffer.contents got);
+      let rio = mem_reader ~chunk (Buffer.contents got) in
+      Alcotest.(check string)
+        (Printf.sprintf "chunk %d roundtrip" chunk)
+        payload (Frame.read_frame rio))
+    [ 1; 2; 3; 7; 4096 ];
+  let empty, eio = mem_writer ~chunk:1 in
+  Frame.write_writer eio (Frame.writer ());
+  Alcotest.(check string) "empty payload" "\000\000\000\000"
+    (Buffer.contents empty);
+  Alcotest.check_raises "not a frame writer"
+    (Invalid_argument "Frame.write_writer: not a frame writer") (fun () ->
+      Frame.write_writer eio (Wire.Writer.create ()))
+
+(* {2 Malformed round frames}
+
+   Hand-built frames in the round layout (see socket_net.ml), fed to a
+   real host runtime and a real coordinator. A host must raise
+   [Frame.Protocol_error]; a coordinator must turn the sending host's
+   nodes into crashes and return normally. The peer's side is written
+   into the socket before the other side runs, so nothing here needs a
+   second thread or process. *)
+
+module Ping = struct
+  type t = Ping of int
+
+  let bits (Ping v) = Wire.gamma_bits v
+  let pp ppf (Ping v) = Format.fprintf ppf "ping(%d)" v
+
+  let encode (Ping v) =
+    let w = Wire.Writer.create () in
+    Wire.Writer.add_gamma w v;
+    (Wire.Writer.contents w, Wire.Writer.bit_length w)
+
+  let decode s =
+    match Wire.Reader.read_gamma (Wire.Reader.of_string s) with
+    | v -> Some (Ping v)
+    | exception Invalid_argument _ -> None
+end
+
+module PH = SN.Host (Ping)
+
+let frame_of build =
+  let w = Wire.Writer.create () in
+  build w;
+  Wire.Writer.contents w
+
+let gamma = Wire.Writer.add_gamma
+let payload w m = SN.Codec.add_msg w (Ping.encode m)
+let ids3 = [| 10; 20; 30 |]
+
+(* What [serve] sends a single host running [ids3]. *)
+let config3 =
+  frame_of (fun w ->
+      gamma w SN.magic;
+      gamma w (Array.length ids3);
+      gamma w 1;
+      gamma w 0;
+      Array.iter (gamma w) ids3;
+      SN.Codec.add_bytes w "")
+
+(* Round 0's reply when every node broadcast [Ping (1 + slot)]: a
+   three-entry table and every inbox listing all three entries. *)
+let good_reply ?(index = fun j -> j) () =
+  frame_of (fun w ->
+      gamma w 0;
+      gamma w 0;
+      gamma w 3;
+      for s = 0 to 2 do
+        gamma w s;
+        payload w (Ping.Ping (1 + s))
+      done;
+      for _ = 0 to 2 do
+        gamma w 3;
+        for j = 0 to 2 do
+          gamma w (index j)
+        done
+      done)
+
+(* Runs a host over [ids3] whose nodes broadcast once and decide, against
+   a coordinator that sends the config and then [reply]. With a
+   well-formed reply the host gets as far as reading round 1's reply and
+   meets the end of the stream. Every node checks that its inbox is
+   [good_reply]'s, holding the very values the first node received: each
+   table payload is decoded once and shared. *)
+let host_against reply =
+  let coord, host = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let io = Frame.io_of_fd coord in
+  Frame.write_frame io config3;
+  Frame.write_frame io reply;
+  Unix.shutdown coord Unix.SHUTDOWN_SEND;
+  let seen = ref [] in
+  let program ~extra:_ ctx =
+    let inbox = PH.broadcast ctx (Ping.Ping (PH.my_id ctx / 10)) in
+    let got = PH.Inbox.pairs inbox in
+    if got <> [ (10, Ping.Ping 1); (20, Ping.Ping 2); (30, Ping.Ping 3) ] then
+      failwith "wrong inbox";
+    (match !seen with
+    | [] -> seen := got
+    | first ->
+        if not (List.for_all2 (fun (_, a) (_, b) -> a == b) first got) then
+          failwith "payloads decoded twice");
+    PH.my_id ctx
+  in
+  let outcome =
+    match PH.run ~fd:host ~host_index:0 ~program with
+    | () -> Ok ()
+    | exception Frame.Protocol_error msg -> Error msg
+    | exception e ->
+        Alcotest.failf "host raised %s, not Frame.Protocol_error"
+          (Printexc.to_string e)
+  in
+  Unix.close coord;
+  Unix.close host;
+  outcome
+
+let eof = "eof at frame boundary"
+
+let expect_host_rejects name reply =
+  match host_against reply with
+  | Error msg when msg <> eof -> ()
+  | Error _ -> Alcotest.failf "%s: host accepted the reply" name
+  | Ok () -> Alcotest.failf "%s: host finished" name
+
+let test_host_rejects_malformed () =
+  (match host_against (good_reply ()) with
+  | Error msg -> Alcotest.(check string) "well-formed reply accepted" eof msg
+  | Ok () -> Alcotest.fail "host finished without round 1's reply");
+  expect_host_rejects "index outside the table"
+    (good_reply ~index:(fun j -> if j = 2 then 3 else j) ());
+  expect_host_rejects "table count beyond the frame"
+    (frame_of (fun w ->
+         gamma w 0;
+         gamma w 0;
+         gamma w 1_000_000));
+  expect_host_rejects "inbox count beyond the frame"
+    (frame_of (fun w ->
+         gamma w 0;
+         gamma w 0;
+         gamma w 0;
+         gamma w 1_000_000));
+  expect_host_rejects "table source slot out of range"
+    (frame_of (fun w ->
+         gamma w 0;
+         gamma w 0;
+         gamma w 1;
+         gamma w 3;
+         payload w (Ping.Ping 1)));
+  expect_host_rejects "undecodable payload"
+    (frame_of (fun w ->
+         gamma w 0;
+         gamma w 0;
+         gamma w 1;
+         gamma w 0;
+         SN.Codec.add_msg w ("\000", 8)));
+  let whole = good_reply () in
+  for cut = 0 to String.length whole - 1 do
+    expect_host_rejects
+      (Printf.sprintf "reply cut at %d bytes" cut)
+      (String.sub whole 0 cut)
+  done
+
+(* Serves [ids3] to one host that sends a correct hello, then [frame] as
+   its round-0 frame, then closes: a frame the coordinator accepts
+   crashes the nodes at round 1 (the end of the stream), one it rejects
+   at round 0. *)
+let coord_against frame =
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 1;
+  let host = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect host (Unix.getsockname listen);
+  let io = Frame.io_of_fd host in
+  Frame.write_frame io
+    (frame_of (fun w ->
+         gamma w SN.magic;
+         gamma w 0));
+  Frame.write_frame io frame;
+  Unix.shutdown host Unix.SHUTDOWN_SEND;
+  let config = { SN.ids = ids3; seed = 0; n_hosts = 1; extra = "" } in
+  let res = SN.serve ~listen ~config ~max_rounds:5 () in
+  Unix.close host;
+  Unix.close listen;
+  List.map
+    (fun (_, o) ->
+      match o with
+      | Repro_sim.Engine.Crashed r -> r
+      | _ -> Alcotest.fail "a node did not crash")
+    res.SN.run.Repro_sim.Engine.outcomes
+
+(* Round 0 from the host of [ids3]: slot 0 sends one group to slots 0
+   and 2, slot 1 broadcasts, slot 2 sends two groups. *)
+let good_upstream
+    ?(group =
+      fun w ->
+        payload w (Ping.Ping 4);
+        gamma w 2;
+        gamma w 0;
+        gamma w 2) () =
+  frame_of (fun w ->
+      gamma w 0;
+      gamma w 2;
+      gamma w 1;
+      group w;
+      gamma w 3;
+      payload w (Ping.Ping 5);
+      gamma w 2;
+      gamma w 2;
+      payload w (Ping.Ping 6);
+      gamma w 1;
+      gamma w 1;
+      payload w (Ping.Ping 7);
+      gamma w 1;
+      gamma w 0)
+
+let expect_coord_rejects name frame =
+  Alcotest.(check (list int)) name [ 0; 0; 0 ] (coord_against frame)
+
+let test_coord_rejects_malformed () =
+  Alcotest.(check (list int))
+    "well-formed frame accepted" [ 1; 1; 1 ]
+    (coord_against (good_upstream ()));
+  expect_coord_rejects "destination slot >= n"
+    (good_upstream
+       ~group:(fun w ->
+         payload w (Ping.Ping 4);
+         gamma w 1;
+         gamma w 3)
+       ());
+  expect_coord_rejects "empty destination list"
+    (good_upstream
+       ~group:(fun w ->
+         payload w (Ping.Ping 4);
+         gamma w 0)
+       ());
+  expect_coord_rejects "destination count beyond the frame"
+    (good_upstream
+       ~group:(fun w ->
+         payload w (Ping.Ping 4);
+         gamma w 1_000_000)
+       ());
+  expect_coord_rejects "group count beyond the frame"
+    (frame_of (fun w ->
+         gamma w 0;
+         gamma w 2;
+         gamma w 1_000_000));
+  expect_coord_rejects "payload beyond the frame"
+    (frame_of (fun w ->
+         gamma w 0;
+         gamma w 3;
+         gamma w 1_000_000));
+  let whole = good_upstream () in
+  for cut = 0 to String.length whole - 1 do
+    expect_coord_rejects
+      (Printf.sprintf "frame cut at %d bytes" cut)
+      (String.sub whole 0 cut)
+  done
+
 let suite =
   ( "socket_net",
     [
@@ -204,4 +487,10 @@ let suite =
         test_truncation;
       Alcotest.test_case "framed codec round-trips, all protocols" `Quick
         test_codec_roundtrips;
+      Alcotest.test_case "frame writer: short writes, no copy" `Quick
+        test_write_writer;
+      Alcotest.test_case "host rejects malformed replies" `Quick
+        test_host_rejects_malformed;
+      Alcotest.test_case "coordinator crashes a malformed host" `Quick
+        test_coord_rejects_malformed;
     ] )

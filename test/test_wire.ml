@@ -267,6 +267,157 @@ let qcheck_mixed_stream =
           | `Bit b -> Bool.equal (W.Reader.read_bit r) b)
         ops)
 
+(* {2 Bulk bit copies and narrow fields}
+
+   [Writer.add_bits_of_string], [Reader.read_slice] and [Reader.skip]
+   against the bit-by-bit definition, at every source and destination
+   bit offset, for the lengths around the byte and 56-bit chunk edges,
+   and with destinations that make the writer's 16-byte buffer grow. *)
+
+let bit_of s i = Char.code s.[i lsr 3] land (0x80 lsr (i land 7)) <> 0
+
+(* A writer holding [prefix] pattern bits, built one bit at a time. *)
+let writer_with_prefix prefix =
+  let w = W.Writer.create () in
+  for i = 0 to prefix - 1 do
+    W.Writer.add_bit w (i mod 3 = 0)
+  done;
+  w
+
+let copy_ref w s ~pos ~len =
+  for i = pos to pos + len - 1 do
+    W.Writer.add_bit w (bit_of s i)
+  done
+
+(* Reads [len] bits of [s] at [pos] through the bulk primitives and the
+   reference, and checks they agree with each other and with [s]. *)
+let check_copy s ~prefix ~pos ~len =
+  let fast = writer_with_prefix prefix and slow = writer_with_prefix prefix in
+  W.Writer.add_bits_of_string fast s ~pos ~len;
+  copy_ref slow s ~pos ~len;
+  (* A trailing bit shows the copy left the invariant (zeros past the
+     end) intact. *)
+  W.Writer.add_bit fast true;
+  W.Writer.add_bit slow true;
+  let slice_ok =
+    let r = W.Reader.of_string s and r' = W.Reader.of_string s in
+    W.Reader.skip r pos;
+    for _ = 1 to pos do
+      ignore (W.Reader.read_bit r')
+    done;
+    let got = W.Reader.read_slice r ~len in
+    let expect = W.Writer.create () in
+    copy_ref expect s ~pos ~len;
+    String.equal got (W.Writer.contents expect)
+    && W.Reader.position r = pos + len
+    && W.Reader.bits_remaining r = W.Reader.bits_remaining r' - len
+  in
+  W.Writer.bit_length fast = W.Writer.bit_length slow
+  && String.equal (W.Writer.contents fast) (W.Writer.contents slow)
+  && slice_ok
+
+let pattern_string bytes seed =
+  String.init bytes (fun i -> Char.chr (((i * 151) + (seed * 97) + 89) land 0xff))
+
+let copy_lengths = [ 0; 1; 7; 8; 55; 56; 57; 64; 200 ]
+
+let test_bulk_copy_every_offset () =
+  let s = pattern_string 48 3 in
+  List.iter
+    (fun base ->
+      for dst_off = 0 to 7 do
+        for src_off = 0 to 7 do
+          List.iter
+            (fun len ->
+              if
+                not
+                  (check_copy s ~prefix:(base + dst_off)
+                     ~pos:(8 + src_off) ~len)
+              then
+                Alcotest.failf "dst %d, src %d, len %d" (base + dst_off)
+                  (8 + src_off) len)
+            copy_lengths
+        done
+      done)
+    (* 0: fresh buffer; 120: the copy crosses the first growth *)
+    [ 0; 120 ]
+
+let qcheck_bulk_copy_differential =
+  let case =
+    QCheck.Gen.(
+      let* bytes = int_range 0 80 in
+      let* seed = int_range 0 1000 in
+      let* pos = int_range 0 (8 * bytes) in
+      let* len =
+        oneof [ oneofl [ 0; 1; 7; 8; 55; 56; 57 ]; int_range 0 (8 * bytes) ]
+      in
+      let len = min len ((8 * bytes) - pos) in
+      let* prefix = int_range 0 300 in
+      return (bytes, seed, pos, len, prefix))
+  in
+  QCheck.Test.make ~name:"bulk bit copy = bit-by-bit reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (bytes, seed, pos, len, prefix) ->
+         Printf.sprintf "bytes=%d seed=%d pos=%d len=%d prefix=%d" bytes seed
+           pos len prefix)
+       case)
+    (fun (bytes, seed, pos, len, prefix) ->
+      check_copy (pattern_string bytes seed) ~prefix ~pos ~len)
+
+let test_bulk_copy_rejects () =
+  let w = W.Writer.create () in
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Wire.Writer.add_bits_of_string: range") (fun () ->
+      W.Writer.add_bits_of_string w "ab" ~pos:9 ~len:8);
+  Alcotest.check_raises "negative position"
+    (Invalid_argument "Wire.Writer.add_bits_of_string: range") (fun () ->
+      W.Writer.add_bits_of_string w "ab" ~pos:(-1) ~len:1);
+  Alcotest.(check int) "nothing written" 0 (W.Writer.bit_length w);
+  let r = W.Reader.of_string "ab" in
+  Alcotest.check_raises "slice past the end"
+    (Invalid_argument "Wire.Reader: out of bits") (fun () ->
+      ignore (W.Reader.read_slice r ~len:17));
+  Alcotest.check_raises "skip past the end"
+    (Invalid_argument "Wire.Reader: out of bits") (fun () ->
+      W.Reader.skip r 17);
+  Alcotest.(check int) "reader did not move" 0 (W.Reader.position r)
+
+let test_fixed_edges_every_offset () =
+  (* Narrow widths (no longer written bit by bit), the 56-bit chunk
+     edge, and the width-0 and width-62 ends, at every bit offset. *)
+  let widths = [ 0; 1; 2; 3; 5; 7; 8; 9; 55; 56; 57; 61; 62 ] in
+  let values width =
+    let top = if width = 62 then max_int else (1 lsl width) - 1 in
+    List.sort_uniq compare [ 0; 1 land top; top; 0x2aaa_aaaa_aaaa_aaaa land top ]
+  in
+  for prefix = 0 to 15 do
+    List.iter
+      (fun width ->
+        List.iter
+          (fun v ->
+            let fast = writer_with_prefix prefix
+            and slow = writer_with_prefix prefix in
+            W.Writer.add_fixed fast v ~width;
+            add_fixed_ref slow v ~width;
+            W.Writer.add_bit fast true;
+            W.Writer.add_bit slow true;
+            let s = W.Writer.contents fast in
+            if
+              W.Writer.bit_length fast <> W.Writer.bit_length slow
+              || not (String.equal s (W.Writer.contents slow))
+            then Alcotest.failf "add_fixed %d/%d at offset %d" v width prefix;
+            let r = W.Reader.of_string s and r' = W.Reader.of_string s in
+            W.Reader.skip r prefix;
+            W.Reader.skip r' prefix;
+            let got = W.Reader.read_fixed r ~width in
+            let expect = read_fixed_ref r' ~width in
+            if got <> v || expect <> v || not (W.Reader.read_bit r) then
+              Alcotest.failf "read_fixed %d/%d at offset %d: got %d" v width
+                prefix got)
+          (values width))
+      widths
+  done
+
 let suite =
   ( "wire",
     [
@@ -289,4 +440,11 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_read_fixed_differential;
       QCheck_alcotest.to_alcotest qcheck_gamma_never_negative;
       QCheck_alcotest.to_alcotest qcheck_mixed_stream;
+      Alcotest.test_case "bulk copy, every src/dst offset" `Quick
+        test_bulk_copy_every_offset;
+      Alcotest.test_case "bulk copy / slice / skip bounds" `Quick
+        test_bulk_copy_rejects;
+      Alcotest.test_case "fixed edges, every offset" `Quick
+        test_fixed_edges_every_offset;
+      QCheck_alcotest.to_alcotest qcheck_bulk_copy_differential;
     ] )
