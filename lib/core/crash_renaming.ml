@@ -342,9 +342,21 @@ struct
      maintains the Figure-2 verdict-group index {e incrementally} across
      phases: a round's inbox is absorbed as a delta (changed, new and
      vanished reporters), and only those deltas touch the index while the
-     minimum depth stands still. Group membership is a [Bitvec] over
-     slots, so reporter ranks are range popcounts; the depth sweep is a
-     first-set probe over the depth-occupancy bitvec.
+     minimum depth stands still. The depth sweep is a first-set probe
+     over the depth-occupancy bitvec.
+
+     Ranks need no per-group member set. Emission visits present slots
+     in ascending order and bumps a per-group running count at every
+     exact reporter of the group's interval (any depth), so the count at
+     a slot is exactly "reporters of the interval with identity <= id".
+     Every group lookup goes through a per-slot hint, [s_g]: the last
+     [locate] answer for that slot, accepted only after an O(1) bracket
+     check against [g_lo]. Honest crash-model runs are order-preserving
+     (a smaller identity never lands above a larger one in the same
+     group), so ascending slots meet the groups in ascending order and
+     the previous slot's group, or the next one, is the usual answer when
+     the slot's own hint is stale. A member's state is O(n) words:
+     per-slot arrays plus per-group arrays, with at most n/2 groups.
 
      Fast-path preconditions, checked while absorbing (any failure raises
      [Bail] and the caller falls back to {!committee_action_scan}):
@@ -359,8 +371,8 @@ struct
 
      Under these the flattened path is observation-equivalent to the
      scan: slot order = ascending identity = inbox order, so emission
-     order matches, and a rank "reporters of the interval with identity
-     <= id" equals a popcount of member slots at positions <= slot. *)
+     order matches, and the running count above equals the scan's
+     sorted-array rank. *)
 
   let gamma = Repro_sim.Wire.gamma_bits
   let depth_cap = 1 lsl 20
@@ -369,7 +381,6 @@ struct
     exception Bail
 
     module Vec = Repro_util.Arena.Vec
-    module Bitpool = Repro_util.Arena.Bitpool
 
     type t = {
       cn : int;
@@ -383,6 +394,7 @@ struct
       s_iv : Interval.t array;  (* the sender's interval record, shared *)
       s_ivb : int array;  (* gamma(lo) + gamma(size-1), cached *)
       s_db : int array;  (* gamma(d), cached *)
+      s_g : int array;  (* group hint: a past [locate] answer, checked *)
       (* per-slot last verdict, a content-addressed cache: reused
          whenever this round's verdict has the same payload (frozen
          singletons and echoes re-verdict identically every phase) *)
@@ -434,15 +446,14 @@ struct
       mutable g_top_msg : Msg.t array;
       mutable g_bot_mst : int array;  (* stamp the interned msg is for *)
       mutable g_top_mst : int array;
-      mutable g_members : Bitvec.t array;  (* exact reporters, by slot *)
       mutable g_fresh : int array;  (* stamp of the absorb that inserted *)
-      mutable g_cur_slot : int array;  (* emission rank cursors *)
-      mutable g_cur_rank : int array;
-      pool : Bitpool.t;  (* recycled member sets *)
-      (* sized outbox buffers, arena-backed, reused every round *)
-      out_dsts : int Vec.t;
-      out_msgs : Msg.t Vec.t;
-      out_sizes : int Vec.t;
+      mutable g_rank : int array;  (* emission sweep's running counts *)
+      (* sized outbox, reserved once per round to the present count and
+         reused across rounds; entries past the round's length are
+         stale *)
+      mutable out_dsts : int array;
+      mutable out_msgs : Msg.t array;
+      mutable out_sizes : int array;
     }
 
     let create ~ids =
@@ -461,6 +472,7 @@ struct
         s_iv = Array.make cn dummy_iv;
         s_ivb = Array.make cn 0;
         s_db = Array.make cn 0;
+        s_g = Array.make cn (-1);
         v_msg = Array.make cn Msg.Notify;
         present = Bitvec.create cn;
         scratch = Bitvec.create cn;
@@ -493,14 +505,11 @@ struct
         g_top_msg = [||];
         g_bot_mst = [||];
         g_top_mst = [||];
-        g_members = [||];
         g_fresh = [||];
-        g_cur_slot = [||];
-        g_cur_rank = [||];
-        pool = Bitpool.create ~width:cn;
-        out_dsts = Vec.create ~dummy:0;
-        out_msgs = Vec.create ~dummy:Msg.Notify;
-        out_sizes = Vec.create ~dummy:0;
+        g_rank = [||];
+        out_dsts = [||];
+        out_msgs = [||];
+        out_sizes = [||];
       }
 
     let clear_log cs =
@@ -513,9 +522,6 @@ struct
       Vec.clear cs.rm_d
 
     let clear_groups cs =
-      for j = 0 to cs.g_len - 1 do
-        Bitpool.release cs.pool cs.g_members.(j)
-      done;
       cs.g_len <- 0;
       cs.g_depth <- -1
 
@@ -583,6 +589,28 @@ struct
       done;
       !l - 1
 
+    (* Is [h] what [locate cs lo] returns? *)
+    let brackets cs h lo =
+      h >= -1 && h < cs.g_len
+      && (h < 0 || Array.unsafe_get cs.g_lo h <= lo)
+      && (h + 1 = cs.g_len || lo < Array.unsafe_get cs.g_lo (h + 1))
+
+    (* [locate cs lo] for slot index [i], trying the slot's hint, then
+       the sweep's previous answer [near] and its successor, before the
+       binary search; the answer becomes the slot's new hint. *)
+    let locate_hinted cs i lo ~near =
+      let h = Array.unsafe_get cs.s_g i in
+      if brackets cs h lo then h
+      else begin
+        let h =
+          if brackets cs (near + 1) lo then near + 1
+          else if brackets cs near lo then near
+          else locate cs lo
+        in
+        Array.unsafe_set cs.s_g i h;
+        h
+      end
+
     let ensure_gcap cs =
       if cs.g_len = Array.length cs.g_lo then begin
         let cap = max 8 (2 * cs.g_len) in
@@ -602,11 +630,6 @@ struct
           Array.blit a 0 b 0 cs.g_len;
           b
         in
-        let grow_bv a =
-          let b = Array.make cap cs.scratch in
-          Array.blit a 0 b 0 cs.g_len;
-          b
-        in
         cs.g_lo <- grow_i cs.g_lo;
         cs.g_hi <- grow_i cs.g_hi;
         cs.g_bot_hi <- grow_i cs.g_bot_hi;
@@ -621,37 +644,41 @@ struct
         cs.g_top_msg <- grow_m cs.g_top_msg;
         cs.g_bot_mst <- grow_i cs.g_bot_mst;
         cs.g_top_mst <- grow_i cs.g_top_mst;
-        cs.g_members <- grow_bv cs.g_members;
         cs.g_fresh <- grow_i cs.g_fresh;
-        cs.g_cur_slot <- grow_i cs.g_cur_slot;
-        cs.g_cur_rank <- grow_i cs.g_cur_rank
+        cs.g_rank <- Array.make cap 0  (* zeroed per emission *)
+      end
+
+    (* Move the groups [at, g_len) by [by] = +1 (opening index [at]) or
+       -1 (closing index [at - 1]). [g_rank] is emission-local and does
+       not move. *)
+    let shift_groups cs ~at ~by =
+      let tail = cs.g_len - at in
+      if tail > 0 then begin
+        let shift_i (a : int array) = Array.blit a at a (at + by) tail in
+        let shift_iv (a : Interval.t array) =
+          Array.blit a at a (at + by) tail
+        in
+        let shift_m (a : Msg.t array) = Array.blit a at a (at + by) tail in
+        shift_i cs.g_lo;
+        shift_i cs.g_hi;
+        shift_i cs.g_bot_hi;
+        shift_i cs.g_bot_size;
+        shift_i cs.g_b;
+        shift_i cs.g_ndmin;
+        shift_iv cs.g_bot_iv;
+        shift_iv cs.g_top_iv;
+        shift_i cs.g_bot_ivb;
+        shift_i cs.g_top_ivb;
+        shift_m cs.g_bot_msg;
+        shift_m cs.g_top_msg;
+        shift_i cs.g_bot_mst;
+        shift_i cs.g_top_mst;
+        shift_i cs.g_fresh
       end
 
     let insert_group cs ~at ~iv =
       ensure_gcap cs;
-      let tail = cs.g_len - at in
-      let shift_i (a : int array) = Array.blit a at a (at + 1) tail in
-      let shift_iv (a : Interval.t array) = Array.blit a at a (at + 1) tail in
-      let shift_m (a : Msg.t array) = Array.blit a at a (at + 1) tail in
-      let shift_bv (a : Bitvec.t array) = Array.blit a at a (at + 1) tail in
-      shift_i cs.g_lo;
-      shift_i cs.g_hi;
-      shift_i cs.g_bot_hi;
-      shift_i cs.g_bot_size;
-      shift_i cs.g_b;
-      shift_i cs.g_ndmin;
-      shift_iv cs.g_bot_iv;
-      shift_iv cs.g_top_iv;
-      shift_i cs.g_bot_ivb;
-      shift_i cs.g_top_ivb;
-      shift_m cs.g_bot_msg;
-      shift_m cs.g_top_msg;
-      shift_i cs.g_bot_mst;
-      shift_i cs.g_top_mst;
-      shift_bv cs.g_members;
-      shift_i cs.g_fresh;
-      shift_i cs.g_cur_slot;
-      shift_i cs.g_cur_rank;
+      shift_groups cs ~at ~by:1;
       let bot = Interval.bot iv and top = Interval.top iv in
       cs.g_lo.(at) <- iv.Interval.lo;
       cs.g_hi.(at) <- iv.Interval.hi;
@@ -669,64 +696,50 @@ struct
       cs.g_top_msg.(at) <- Msg.Notify;
       cs.g_bot_mst.(at) <- 0;
       cs.g_top_mst.(at) <- 0;
-      cs.g_members.(at) <- Bitpool.acquire cs.pool;
       cs.g_fresh.(at) <- cs.stamp;
       cs.g_len <- cs.g_len + 1
 
     let remove_group cs at =
-      Bitpool.release cs.pool cs.g_members.(at);
-      let tail = cs.g_len - at - 1 in
-      let shift_i (a : int array) = Array.blit a (at + 1) a at tail in
-      let shift_iv (a : Interval.t array) = Array.blit a (at + 1) a at tail in
-      let shift_m (a : Msg.t array) = Array.blit a (at + 1) a at tail in
-      let shift_bv (a : Bitvec.t array) = Array.blit a (at + 1) a at tail in
-      shift_i cs.g_lo;
-      shift_i cs.g_hi;
-      shift_i cs.g_bot_hi;
-      shift_i cs.g_bot_size;
-      shift_i cs.g_b;
-      shift_i cs.g_ndmin;
-      shift_iv cs.g_bot_iv;
-      shift_iv cs.g_top_iv;
-      shift_i cs.g_bot_ivb;
-      shift_i cs.g_top_ivb;
-      shift_m cs.g_bot_msg;
-      shift_m cs.g_top_msg;
-      shift_i cs.g_bot_mst;
-      shift_i cs.g_top_mst;
-      shift_bv cs.g_members;
-      shift_i cs.g_fresh;
-      shift_i cs.g_cur_slot;
-      shift_i cs.g_cur_rank;
+      shift_groups cs ~at:(at + 1) ~by:(-1);
       cs.g_len <- cs.g_len - 1
 
     (* The group for minimum-depth non-singleton interval [iv], inserting
        it if new; [Bail] if it overlaps a distinct existing group (the
        shared-tree disjointness invariant failed). Mirrors the historical
-       fast-index collect checks. *)
+       fast-index collect checks. An ascending sweep of an order-
+       preserving run meets the groups in [g_lo] order, so the last
+       group and a plain append are tried before the binary search; the
+       checks are those of the general path with [at = g_len - 1]. *)
     let ensure_group cs ~lo ~hi ~iv =
-      let at = locate cs lo in
-      if at >= 0 && cs.g_lo.(at) = lo then
-        if cs.g_hi.(at) = hi then at else raise Bail
-      else if at >= 0 && lo <= cs.g_hi.(at) then raise Bail
-      else if at + 1 < cs.g_len && cs.g_lo.(at + 1) <= hi then raise Bail
-      else begin
-        insert_group cs ~at:(at + 1) ~iv;
-        at + 1
+      let last = cs.g_len - 1 in
+      if last < 0 || cs.g_lo.(last) < lo then begin
+        if last >= 0 && lo <= cs.g_hi.(last) then raise Bail;
+        insert_group cs ~at:(last + 1) ~iv;
+        last + 1
       end
+      else if cs.g_lo.(last) = lo then
+        if cs.g_hi.(last) = hi then last else raise Bail
+      else
+        let at = locate cs lo in
+        if at >= 0 && cs.g_lo.(at) = lo then
+          if cs.g_hi.(at) = hi then at else raise Bail
+        else if at >= 0 && lo <= cs.g_hi.(at) then raise Bail
+        else if cs.g_lo.(at + 1) <= hi then raise Bail
+        else begin
+          insert_group cs ~at:(at + 1) ~iv;
+          at + 1
+        end
 
     (* A freshly inserted group's contributions, computed wholesale from
        every present status (the per-slot delta adds skip fresh groups). *)
     let fill_group cs at d_min =
       let glo = cs.g_lo.(at) and ghi = cs.g_hi.(at) in
       let gbh = cs.g_bot_hi.(at) in
-      let members = cs.g_members.(at) in
       Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
           let i = slot - 1 in
           let lo = Array.unsafe_get cs.s_lo i
           and hi = Array.unsafe_get cs.s_hi i in
           if lo = glo && hi = ghi then begin
-            Bitvec.set members slot true;
             if cs.s_d.(i) = d_min then cs.g_ndmin.(at) <- cs.g_ndmin.(at) + 1
           end
           else if glo <= lo && hi <= gbh then cs.g_b.(at) <- cs.g_b.(at) + 1)
@@ -739,16 +752,17 @@ struct
       Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
           let i = slot - 1 in
           if cs.s_d.(i) = d_min && cs.s_lo.(i) < cs.s_hi.(i) then
-            ignore
-              (ensure_group cs ~lo:cs.s_lo.(i) ~hi:cs.s_hi.(i) ~iv:cs.s_iv.(i)));
+            cs.s_g.(i) <-
+              ensure_group cs ~lo:cs.s_lo.(i) ~hi:cs.s_hi.(i) ~iv:cs.s_iv.(i));
+      let near = ref (-1) in
       Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
           let i = slot - 1 in
           let lo = Array.unsafe_get cs.s_lo i
           and hi = Array.unsafe_get cs.s_hi i in
-          let at = locate cs lo in
+          let at = locate_hinted cs i lo ~near:!near in
+          near := at;
           if at >= 0 && lo <= cs.g_hi.(at) then
             if lo = cs.g_lo.(at) && hi = cs.g_hi.(at) then begin
-              Bitvec.set cs.g_members.(at) slot true;
               if cs.s_d.(i) = d_min then cs.g_ndmin.(at) <- cs.g_ndmin.(at) + 1
             end
             else if hi <= cs.g_bot_hi.(at) then cs.g_b.(at) <- cs.g_b.(at) + 1);
@@ -767,11 +781,10 @@ struct
       let rm_lo = Vec.data cs.rm_lo
       and rm_hi = Vec.data cs.rm_hi
       and rm_d = Vec.data cs.rm_d in
-      let remove_old ~lo ~hi ~d ~slot =
+      let remove_old ~lo ~hi ~d =
         let at = locate cs lo in
         if at >= 0 && lo <= cs.g_hi.(at) then
           if lo = cs.g_lo.(at) && hi = cs.g_hi.(at) then begin
-            Bitvec.set cs.g_members.(at) slot false;
             if d = d_min then begin
               cs.g_ndmin.(at) <- cs.g_ndmin.(at) - 1;
               if cs.g_ndmin.(at) = 0 then remove_group cs at
@@ -781,24 +794,19 @@ struct
       in
       for k = 0 to rm_len - 1 do
         remove_old ~lo:rm_lo.(k) ~hi:rm_hi.(k) ~d:rm_d.(k)
-          ~slot:ch_slot.(ch_len + k)
       done;
       for k = 0 to ch_len - 1 do
         if ch_old_d.(k) >= 0 then
           remove_old ~lo:ch_old_lo.(k) ~hi:ch_old_hi.(k) ~d:ch_old_d.(k)
-            ~slot:ch_slot.(k)
       done;
       for k = 0 to ch_len - 1 do
-        let slot = ch_slot.(k) in
-        let i = slot - 1 in
+        let i = ch_slot.(k) - 1 in
         let lo = cs.s_lo.(i) and hi = cs.s_hi.(i) and d = cs.s_d.(i) in
         let at = locate cs lo in
         if at >= 0 && cs.g_lo.(at) = lo && cs.g_hi.(at) = hi then begin
           (* exact reporter of an existing group *)
-          if cs.g_fresh.(at) <> cs.stamp then begin
-            Bitvec.set cs.g_members.(at) slot true;
-            if d = d_min then cs.g_ndmin.(at) <- cs.g_ndmin.(at) + 1
-          end
+          if cs.g_fresh.(at) <> cs.stamp && d = d_min then
+            cs.g_ndmin.(at) <- cs.g_ndmin.(at) + 1
         end
         else if at >= 0 && lo <= cs.g_hi.(at) then begin
           (* inside a distinct group's interval *)
@@ -830,10 +838,38 @@ struct
           Array.unsafe_set cs.v_msg i m;
           m
 
+    let reserve_out cs len =
+      if len > Array.length cs.out_dsts then begin
+        let cap = max len (2 * Array.length cs.out_dsts) in
+        cs.out_dsts <- Array.make cap 0;
+        cs.out_msgs <- Array.make cap Msg.Notify;
+        cs.out_sizes <- Array.make cap 0
+      end
+
+    (* The interned verdict of group [at] for the bottom ([bot]) or top
+       half, built on the round's first use. *)
+    let group_verdict cs at ~bot ~d1 ~pv =
+      if bot then begin
+        if cs.g_bot_mst.(at) <> cs.stamp then begin
+          cs.g_bot_msg.(at) <-
+            Msg.Response { iv = cs.g_bot_iv.(at); d = d1; p = pv };
+          cs.g_bot_mst.(at) <- cs.stamp
+        end;
+        cs.g_bot_msg.(at)
+      end
+      else begin
+        if cs.g_top_mst.(at) <> cs.stamp then begin
+          cs.g_top_msg.(at) <-
+            Msg.Response { iv = cs.g_top_iv.(at); d = d1; p = pv };
+          cs.g_top_mst.(at) <- cs.stamp
+        end;
+        cs.g_top_msg.(at)
+      end
+
     (* Absorb one status round straight off the inbox view — a single
        pass; the view is already the round's struct-of-arrays decode —
-       and fill the sized outbox buffers with the verdicts, in inbox
-       (= ascending slot) order. *)
+       and fill the sized outbox with the verdicts, in inbox (= ascending
+       slot) order. *)
     let absorb_and_emit cs (st : state) inbox =
       cs.stamp <- cs.stamp + 1;
       clear_log cs;
@@ -957,7 +993,7 @@ struct
            accordingly. Both routes index the same state identically —
            test/test_committee_paths.ml pins the equivalence — so the
            threshold is pure policy. *)
-        let n_present = Bitvec.count_all cs.present in
+        let n_present = !m in
         let churned = !churn + !vanished in
         cs.wholesale <- 2 * churned > n_present;
         if wholesale || cs.g_depth <> d_min || 2 * churned > n_present then
@@ -968,66 +1004,55 @@ struct
            outcome), shared by every recipient), singletons and echoes
            reuse last round's message when the payload is unchanged, and
            precomputed size components make billing pure table lookups *)
-        for j = 0 to cs.g_len - 1 do
-          cs.g_cur_slot.(j) <- 0;
-          cs.g_cur_rank.(j) <- 0
-        done;
-        Vec.clear cs.out_dsts;
-        Vec.clear cs.out_msgs;
-        Vec.clear cs.out_sizes;
+        Array.fill cs.g_rank 0 cs.g_len 0;
+        reserve_out cs n_present;
+        let dsts = cs.out_dsts and msgs = cs.out_msgs in
+        let sizes = cs.out_sizes in
         let pv = st.pv in
         let pvb = gamma pv in
         let d1 = d_min + 1 in
         let d1b = gamma d1 in
         let k = ref 0 in
+        let near = ref (-1) in
         Bitvec.iter_set cs.present cs.full ~f:(fun slot ->
             let i = slot - 1 in
-            let id = Array.unsafe_get cs.sorted_ids i in
             let d = Array.unsafe_get cs.s_d i in
             let lo = Array.unsafe_get cs.s_lo i
             and hi = Array.unsafe_get cs.s_hi i in
-            let msg, sz =
-              if d <> d_min then
-                ( cached_verdict cs i ~iv:cs.s_iv.(i) ~d ~p:pv,
-                  2 + cs.s_ivb.(i) + cs.s_db.(i) + pvb )
-              else if lo = hi then
-                ( cached_verdict cs i ~iv:cs.s_iv.(i) ~d:d1 ~p:pv,
-                  2 + cs.s_ivb.(i) + d1b + pvb )
+            (* rank upkeep: every exact reporter of a group, whatever its
+               depth, advances the group's running count *)
+            let at =
+              if lo = hi then -1
               else begin
-                let at = locate cs lo in
-                if at < 0 || cs.g_lo.(at) <> lo || cs.g_hi.(at) <> hi then
-                  raise Bail;
-                (* rank via a cumulative range popcount: queried slots
-                   ascend, so each member word is scanned once per round *)
-                let prev = cs.g_cur_slot.(at) in
-                let add =
-                  Bitvec.count_range cs.g_members.(at) ~lo:(prev + 1) ~hi:slot
-                in
-                cs.g_cur_slot.(at) <- slot;
-                let rank = cs.g_cur_rank.(at) + add in
-                cs.g_cur_rank.(at) <- rank;
-                if cs.g_b.(at) + rank <= cs.g_bot_size.(at) then begin
-                  (if cs.g_bot_mst.(at) <> cs.stamp then begin
-                     cs.g_bot_msg.(at) <-
-                       Msg.Response { iv = cs.g_bot_iv.(at); d = d1; p = pv };
-                     cs.g_bot_mst.(at) <- cs.stamp
-                   end);
-                  (cs.g_bot_msg.(at), 2 + cs.g_bot_ivb.(at) + d1b + pvb)
+                let at = locate_hinted cs i lo ~near:!near in
+                near := at;
+                if at >= 0 && cs.g_lo.(at) = lo && cs.g_hi.(at) = hi then begin
+                  cs.g_rank.(at) <- cs.g_rank.(at) + 1;
+                  at
                 end
-                else begin
-                  (if cs.g_top_mst.(at) <> cs.stamp then begin
-                     cs.g_top_msg.(at) <-
-                       Msg.Response { iv = cs.g_top_iv.(at); d = d1; p = pv };
-                     cs.g_top_mst.(at) <- cs.stamp
-                   end);
-                  (cs.g_top_msg.(at), 2 + cs.g_top_ivb.(at) + d1b + pvb)
-                end
+                else -1
               end
             in
-            Vec.push cs.out_dsts id;
-            Vec.push cs.out_msgs msg;
-            Vec.push cs.out_sizes sz;
-            incr k);
+            let j = !k in
+            Array.unsafe_set dsts j (Array.unsafe_get cs.sorted_ids i);
+            if d <> d_min then begin
+              msgs.(j) <- cached_verdict cs i ~iv:cs.s_iv.(i) ~d ~p:pv;
+              Array.unsafe_set sizes j (2 + cs.s_ivb.(i) + cs.s_db.(i) + pvb)
+            end
+            else if lo = hi then begin
+              msgs.(j) <- cached_verdict cs i ~iv:cs.s_iv.(i) ~d:d1 ~p:pv;
+              Array.unsafe_set sizes j (2 + cs.s_ivb.(i) + d1b + pvb)
+            end
+            else begin
+              if at < 0 then raise Bail;
+              let bot = cs.g_b.(at) + cs.g_rank.(at) <= cs.g_bot_size.(at) in
+              msgs.(j) <- group_verdict cs at ~bot ~d1 ~pv;
+              Array.unsafe_set sizes j
+                (2
+                + (if bot then cs.g_bot_ivb.(at) else cs.g_top_ivb.(at))
+                + d1b + pvb)
+            end;
+            k := j + 1);
         Emitted !k
       end
   end
@@ -1195,11 +1220,8 @@ struct
       match out with
       | `Empty -> Net.exchange ctx []
       | `Sized len ->
-          Net.exchange_sized ctx
-            ~dsts:(Committee.Vec.data cs.Committee.out_dsts)
-            ~msgs:(Committee.Vec.data cs.Committee.out_msgs)
-            ~sizes:(Committee.Vec.data cs.Committee.out_sizes)
-            ~len
+          Net.exchange_sized ctx ~dsts:cs.Committee.out_dsts
+            ~msgs:cs.Committee.out_msgs ~sizes:cs.Committee.out_sizes ~len
       | `Scan verdicts -> Net.exchange ctx verdicts
     in
     st.elected <- Rng.bernoulli rng (elect_prob memo params ~n 0);
@@ -1283,13 +1305,29 @@ struct
               | Committee.Empty -> []
               | Committee.Emitted len ->
                   List.init len (fun k ->
-                      ( Committee.Vec.get cs.Committee.out_dsts k,
-                        Committee.Vec.get cs.Committee.out_msgs k,
-                        Committee.Vec.get cs.Committee.out_sizes k ))
+                      ( cs.Committee.out_dsts.(k),
+                        cs.Committee.out_msgs.(k),
+                        cs.Committee.out_sizes.(k) ))
               | exception Committee.Bail ->
                   Committee.reset cs;
                   scan ()))
         rounds
+
+    type committee_state = Committee.t
+
+    (* One member's incremental committee state after absorbing [rounds]
+       ([Bail] rounds reset it, as in a run). *)
+    let committee_state ~ids rounds =
+      let st = { iv = Interval.full 1; dv = 0; pv = 0; elected = true } in
+      let cs = Committee.create ~ids in
+      List.iter
+        (fun pairs ->
+          let inbox = Net.Inbox.of_pairs_unchecked ~dst:0 pairs in
+          match Committee.absorb_and_emit cs st inbox with
+          | Committee.Empty | Committee.Emitted _ -> ()
+          | exception Committee.Bail -> Committee.reset cs)
+        rounds;
+      cs
 
     let state_pv ~path ~pv ~ids rounds =
       let st = { iv = Interval.full 1; dv = 0; pv; elected = true } in

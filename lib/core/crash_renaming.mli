@@ -184,5 +184,13 @@ module For_tests : sig
     int
   (** The member's escalation counter after absorbing the rounds —
       pins that the fast path's p-adoption matches the scan's. *)
+
+  type committee_state
+
+  val committee_state :
+    ids:int array -> (int * Msg.t) list list -> committee_state
+  (** One member's [Incremental] committee state after absorbing the
+      rounds, opaque: tests measure its heap size to pin that the state
+      stays linear in the participant count. *)
 end
 

@@ -58,6 +58,12 @@ let writer () =
   Wire.Writer.add_fixed w 0 ~width:32;
   w
 
+(* Reuse [w] for the next frame: empty it and reserve the header again.
+   One writer per connection keeps its grown buffer across rounds. *)
+let reset_writer w =
+  Wire.Writer.reset w;
+  Wire.Writer.add_fixed w 0 ~width:32
+
 let write_writer io w =
   let bits = Wire.Writer.bit_length w in
   if bits < 32 then invalid_arg "Frame.write_writer: not a frame writer";

@@ -46,11 +46,17 @@ val writer : unit -> Repro_sim.Wire.Writer.t
     byte-aligned — so its bytes are exactly what a fresh writer holding
     the same fields would return from [contents]. *)
 
+val reset_writer : Repro_sim.Wire.Writer.t -> unit
+(** Turn a used {!writer} (sent or not) back into an empty one, keeping
+    its grown buffer: the next frame built in it is byte-identical to
+    one built in a fresh {!writer}. *)
+
 val write_writer : io -> Repro_sim.Wire.Writer.t -> unit
 (** Send a {!writer}'s payload as one frame: the length header is
     patched into the reserved bytes and the writer's own buffer goes out
     in one {!write_exact}, with no copy. Consumes the writer (its header
-    bytes are overwritten); append nothing to it afterwards.
+    bytes are overwritten); append nothing to it afterwards, until
+    {!reset_writer}.
     @raise Invalid_argument if the payload exceeds {!max_frame} or [w]
     is shorter than the header. *)
 

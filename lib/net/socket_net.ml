@@ -351,8 +351,11 @@ let serve ~listen ~config ?(latency_s = 0.) ?(jitter_s = 0.) ?overlay_fanout
     if Array.length !tab_idx < groups then
       tab_idx := Array.make (max groups (2 * Array.length !tab_idx)) (-1)
   in
+  (* One reply writer per host, its buffer kept across rounds. *)
+  let reply_writers = Array.init n_hosts (fun _ -> Frame.writer ()) in
   let reply_frame h ~stop =
-    let w = Frame.writer () in
+    let w = reply_writers.(h) in
+    Frame.reset_writer w;
     Wire.Writer.add_gamma w !current_round;
     Wire.Writer.add_gamma w (if stop then 1 else 0);
     if not stop then begin
@@ -727,8 +730,9 @@ module Host (M : Network_intf.WIRE_MSG) = struct
     done;
     let inboxes = Array.make n empty_inbox in
     let continue_running = ref true in
+    let w = Frame.writer () in
     while !continue_running do
-      let w = Frame.writer () in
+      Frame.reset_writer w;
       Wire.Writer.add_gamma w !current_round;
       for s = lo to hi - 1 do
         match (fresh.(s), states.(s)) with

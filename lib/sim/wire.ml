@@ -133,6 +133,13 @@ module Writer = struct
     blit_bits ~src:s ~src_pos:pos ~dst:t.bytes ~dst_pos:t.len_bits ~len;
     t.len_bits <- t.len_bits + len
 
+  (* Empty the writer, keeping its buffer: re-zeroing the used prefix
+     restores the trailing-zeros invariant, so a reused writer emits the
+     same bytes as a fresh one. *)
+  let reset t =
+    Bytes.fill t.bytes 0 ((t.len_bits + 7) / 8) '\000';
+    t.len_bits <- 0
+
   let contents t = Bytes.sub_string t.bytes 0 ((t.len_bits + 7) / 8)
   let buffer t = t.bytes
 end

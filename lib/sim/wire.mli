@@ -38,15 +38,21 @@ module Writer : sig
       @raise Invalid_argument unless [0 <= pos] and
       [pos + len <= 8 * String.length s]. *)
 
+  val reset : t -> unit
+  (** Empty the writer, keeping its buffer for reuse. The bytes it held
+      are re-zeroed, so whatever is appended next encodes exactly as in a
+      fresh writer. *)
+
   val contents : t -> string
   (** The encoded bits, zero-padded to whole bytes. *)
 
   val buffer : t -> Bytes.t
   (** The live buffer, without a copy: its first
       [(bit_length t + 7) / 8] bytes are {!contents}. Invalidated by the
-      next append; writing into it is only for a caller that owns and
-      then drops the writer ([Repro_net.Frame.write_writer] patches its
-      length header in place). *)
+      next append; writing into it is only for a caller that owns the
+      writer and then drops or {!reset}s it
+      ([Repro_net.Frame.write_writer] patches its length header in
+      place). *)
 end
 
 module Reader : sig

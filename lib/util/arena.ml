@@ -1,11 +1,12 @@
-(* Round-scoped growable buffers and a bitvec free-list: the backing
-   store for per-round emission triples, committee change logs and
-   recycled member sets. Capacity is retained across [clear]s, so a
+(* Round-scoped growable buffers and a bitvec free-list. [Vec] backs
+   the committee's change logs and the socket coordinator's routing
+   tables; [Bitpool] recycles bitvecs of one width (no protocol path
+   uses it at present). Capacity is retained across [clear]s, so a
    steady-state round allocates nothing — the arena grows to the
    high-water mark of its owner's first busy round and then only
-   reuses. Every arena is a value owned by per-run protocol state
-   (created inside [program] or a committee record); there is no global
-   instance, by design and by the D4 lint rule. *)
+   reuses. Every arena is a value owned by per-run state (a committee
+   record, a coordinator's run); there is no global instance, by
+   design and by the D4 lint rule. *)
 
 module Vec = struct
   type 'a t = { mutable a : 'a array; mutable len : int; dummy : 'a }

@@ -317,6 +317,164 @@ let qcheck_paths_agree =
            (List.for_all (fun (_, msg, bits) -> CR.Msg.bits msg = bits))
            reference)
 
+(* Wide committees with mixed depths. 140 participants, so slots and
+   ranks run past the 63-bit words of a [Bitvec]; the status depth [d]
+   is drawn independently of the interval's depth in the halving tree,
+   so groups gain exact reporters at depths other than the minimum and
+   rounds mix depths. Each sequence fixes a cut of the tree over
+   [1, 128] into disjoint intervals (depth 3, some split to depth 4), so
+   most rounds keep the fast path; reporters also send singletons
+   (which count toward a group's bottom half) and, rarely, a child of a
+   cut interval (nested, which makes the fast path bail when it meets
+   the minimum depth). Later rounds perturb the previous one, so the
+   incremental path replays small deltas as well as rebuilds. *)
+let qcheck_wide_mixed_depth_paths_agree =
+  let open QCheck in
+  let ids = Array.init 140 (fun i -> (3 * i) + 1 + (i mod 2)) in
+  let namespace = 128 in
+  let vertex ~depth ~index =
+    match I.tree_vertex_at ~n:namespace ~depth ~index with
+    | Some iv -> iv
+    | None -> I.full namespace
+  in
+  let gen =
+    Gen.(
+      let* cut =
+        List.fold_right
+          (fun index acc ->
+            let* acc = acc in
+            let* split = bool in
+            return
+              (if split then
+                 vertex ~depth:4 ~index:(2 * index)
+                 :: vertex ~depth:4 ~index:((2 * index) + 1)
+                 :: acc
+               else vertex ~depth:3 ~index :: acc))
+          [ 0; 1; 2; 3; 4; 5; 6; 7 ] (return [])
+      in
+      let cut = Array.of_list cut in
+      let entry id =
+        let* kind = int_range 0 63 in
+        let* piece = oneofa cut in
+        let* iv =
+          if kind = 0 then
+            (* a child of a cut interval: nested, off the cut *)
+            let* upper = bool in
+            return (if upper then I.top piece else I.bot piece)
+          else if kind < 8 then
+            let* x = int_range 1 namespace in
+            return (I.singleton x)
+          else return piece
+        in
+        let* d = int_range 0 2 in
+        let* p = int_range 0 2 in
+        return (id, CR.Msg.Status { id; iv; d; p })
+      in
+      let first =
+        List.fold_right
+          (fun id acc ->
+            let* acc = acc in
+            let* keep = int_range 0 7 in
+            if keep = 0 then return acc
+            else
+              let* e = entry id in
+              return (e :: acc))
+          (Array.to_list ids) (return [])
+      in
+      (* every id keeps its entry, changes it, leaves or (re)joins with
+         probability 1/10 each round *)
+      let perturb prev =
+        List.fold_right
+          (fun id acc ->
+            let* acc = acc in
+            let* roll = int_range 0 9 in
+            let old = List.assoc_opt id prev in
+            match (old, roll) with
+            | Some _, 0 -> return acc
+            | Some _, 1 | None, 0 ->
+                let* e = entry id in
+                return (e :: acc)
+            | Some m, _ -> return ((id, m) :: acc)
+            | None, _ -> return acc)
+          (Array.to_list ids) (return [])
+      in
+      let* nrounds = int_range 2 6 in
+      let* r1 = first in
+      let rec more k prev acc =
+        if k = 0 then return (List.rev acc)
+        else
+          let* r = perturb prev in
+          more (k - 1) r (r :: acc)
+      in
+      more (nrounds - 1) r1 [ r1 ])
+  in
+  let print rounds =
+    String.concat " | "
+      (List.map
+         (fun pairs ->
+           String.concat ";"
+             (List.map
+                (fun (src, m) ->
+                  Printf.sprintf "%d<-%s" src
+                    (Format.asprintf "%a" CR.Msg.pp m))
+                pairs))
+         rounds)
+  in
+  Test.make ~name:"committee paths agree: 140 ids, mixed depths" ~count:200
+    (make ~print gen) (fun rounds ->
+      let out path = CR.For_tests.committee_verdicts ~path ~pv:0 ~ids rounds in
+      let reference = out CR.Linear_scan in
+      out CR.Incremental = reference
+      && out CR.Rebuild_each_round = reference
+      && List.for_all
+           (List.for_all (fun (_, msg, bits) -> CR.Msg.bits msg = bits))
+           reference)
+
+(* {1 Committee state size}
+
+   A member's incremental state must stay linear in n: per-slot arrays
+   plus per-group arrays, with no per-group structure as wide as n. The
+   no-fault report rounds of a whole run (every participant reports the
+   halving-tree vertex of its rank at depth 0, 1, ..., log n) are
+   replayed at n = 1024 and n = 4096; linear state grows about 4x
+   (3.98x), while an n-bit member set per group (n/2 groups at the last
+   split) grew it 6.1x. *)
+
+let no_fault_report_rounds n =
+  let ids = Array.init n (fun i -> (2 * i) + 1) in
+  let depth = Repro_util.Ilog.ceil_log2 n in
+  let rounds =
+    List.init (depth + 1) (fun t ->
+        let width = n lsr t in
+        let vertices =
+          Array.init (1 lsl t) (fun index ->
+              match I.tree_vertex_at ~n ~depth:t ~index with
+              | Some iv -> iv
+              | None -> assert false)
+        in
+        Array.to_list
+          (Array.mapi
+             (fun s id ->
+               ( id,
+                 CR.Msg.Status
+                   { id; iv = vertices.(s / width); d = t; p = 0 } ))
+             ids))
+  in
+  (ids, rounds)
+
+let test_state_linear_in_n () =
+  let words n =
+    let ids, rounds = no_fault_report_rounds n in
+    Obj.reachable_words (Obj.repr (CR.For_tests.committee_state ~ids rounds))
+  in
+  let small = words 1024 and large = words 4096 in
+  let ratio = float_of_int large /. float_of_int small in
+  if ratio > 5. then
+    Alcotest.failf
+      "committee state grew %.2fx from n=1024 (%d words) to n=4096 (%d \
+       words); linear state grows about 4x"
+      ratio small large
+
 (* {1 Metamorphic full-run equivalence}
 
    Whole executions under each committee path must be byte-identical:
@@ -421,6 +579,9 @@ let suite =
       Alcotest.test_case "empty and degenerate inboxes" `Quick
         test_empty_and_degenerate;
       QCheck_alcotest.to_alcotest qcheck_paths_agree;
+      QCheck_alcotest.to_alcotest qcheck_wide_mixed_depth_paths_agree;
+      Alcotest.test_case "committee state linear in n" `Quick
+        test_state_linear_in_n;
       Alcotest.test_case "full runs byte-identical (no fault)" `Quick
         test_full_runs_no_fault;
       Alcotest.test_case "full runs byte-identical (corpus schedule)" `Quick

@@ -230,6 +230,38 @@ let test_write_writer () =
     (Invalid_argument "Frame.write_writer: not a frame writer") (fun () ->
       Frame.write_writer eio (Wire.Writer.create ()))
 
+(* One writer per connection, reset between frames: across a long, a
+   short and an empty payload the bytes on the wire equal those of a
+   fresh [Frame.writer] — the header patched by the previous send and
+   the tail of the longer payload must not leak into the next frame. *)
+let test_reset_writer () =
+  let payloads =
+    [
+      ( "long",
+        fun w ->
+          for v = 0 to 299 do
+            Wire.Writer.add_gamma w (v * 37)
+          done );
+      ("short", fun w -> Wire.Writer.add_gamma w 5);
+      ("empty", fun _ -> ());
+      ("short again", fun w -> Wire.Writer.add_fixed w 1 ~width:1);
+    ]
+  in
+  let reused = Frame.writer () in
+  List.iteri
+    (fun k (name, fill) ->
+      if k > 0 then Frame.reset_writer reused;
+      fill reused;
+      let got, gio = mem_writer ~chunk:3 in
+      Frame.write_writer gio reused;
+      let fresh = Frame.writer () in
+      fill fresh;
+      let expect, eio = mem_writer ~chunk:4096 in
+      Frame.write_writer eio fresh;
+      Alcotest.(check string) (name ^ ": same bytes as a fresh writer")
+        (Buffer.contents expect) (Buffer.contents got))
+    payloads
+
 (* {2 Malformed round frames}
 
    Hand-built frames in the round layout (see socket_net.ml), fed to a
@@ -489,6 +521,8 @@ let suite =
         test_codec_roundtrips;
       Alcotest.test_case "frame writer: short writes, no copy" `Quick
         test_write_writer;
+      Alcotest.test_case "frame writer reset = fresh writer" `Quick
+        test_reset_writer;
       Alcotest.test_case "host rejects malformed replies" `Quick
         test_host_rejects_malformed;
       Alcotest.test_case "coordinator crashes a malformed host" `Quick

@@ -418,6 +418,42 @@ let test_fixed_edges_every_offset () =
       widths
   done
 
+(* {2 Writer reuse}
+
+   [Writer.reset] keeps the buffer a long payload grew and must re-zero
+   it: a reused writer emits the same bytes as a fresh one over a long,
+   a short and an empty payload in turn. Odd bit lengths leave a
+   partial last byte, the case a stale bit would corrupt. *)
+
+let test_writer_reset () =
+  let payloads =
+    [
+      ( "long",
+        fun w ->
+          for v = 0 to 499 do
+            W.Writer.add_gamma w (v * 131)
+          done );
+      ( "short",
+        fun w ->
+          W.Writer.add_fixed w 5 ~width:3;
+          W.Writer.add_bit w true );
+      ("empty", fun _ -> ());
+      ("short again", fun w -> W.Writer.add_gamma w 0);
+    ]
+  in
+  let reused = W.Writer.create () in
+  List.iter
+    (fun (name, fill) ->
+      W.Writer.reset reused;
+      fill reused;
+      let fresh = W.Writer.create () in
+      fill fresh;
+      Alcotest.(check int) (name ^ ": bit length") (W.Writer.bit_length fresh)
+        (W.Writer.bit_length reused);
+      Alcotest.(check string) (name ^ ": bytes") (W.Writer.contents fresh)
+        (W.Writer.contents reused))
+    payloads
+
 let suite =
   ( "wire",
     [
@@ -447,4 +483,6 @@ let suite =
       Alcotest.test_case "fixed edges, every offset" `Quick
         test_fixed_edges_every_offset;
       QCheck_alcotest.to_alcotest qcheck_bulk_copy_differential;
+      Alcotest.test_case "reset writer = fresh writer" `Quick
+        test_writer_reset;
     ] )
